@@ -11,11 +11,11 @@
    per-call vs no indexing, and the parallel engine vs sequential — and
    writes the measurements to BENCH_eval.json in the current directory.
 
-   Part 4 ("storage") is the relation-backend ablation: the packed hashed
-   backend vs the tree-set seed, crossed with cached vs per-call indexing
-   on an iteration-heavy transitive closure, plus the E1 cycle census, with
-   E1-E8 parity fingerprints under both backends.  Writes BENCH_relalg.json
-   and exits nonzero if the backends diverge on any count.
+   Part 4 ("storage") is the relation-store benchmark: cached vs per-call
+   indexing on an iteration-heavy transitive closure over the packed
+   store, plus the E1 cycle census, with the E1-E8 parity fingerprint and
+   the census count checked against pinned values.  Writes
+   BENCH_relalg.json and exits nonzero if any count diverges.
 
    Part 5 ("satpar") is the parallel-search benchmark: the portfolio CDCL
    racer vs the sequential solver on a band of hard random 3-CNF, and the
@@ -24,7 +24,7 @@
    answer diverges.
 
    Part 6 ("plan") is the join-planner ablation: compile-once static plans
-   vs per-application greedy replanning vs unplanned textual scans, on
+   vs unplanned textual scans vs the adaptive feedback planner, on
    iteration-heavy and join-dominated E7/E8 workloads, with E1-E8 parity
    fingerprints under all three planners and an allocation bound on the
    plan executor's hot loop.  Writes BENCH_plan.json and exits nonzero on
@@ -67,9 +67,9 @@
    and critical-path (max) bounds over seeded weighted graphs, limit-aware
    tightening vs the pair-materializing Datalog-not encoding of the same
    query, with dominant-filter parity, limit-model fingerprint parity
-   across storage backends x planners x engines x grains, E1-E8
-   fingerprint invariance, and an incremental serve session under mixed
-   insert/delete that must keep dred full applications at 0.  Writes
+   across planners x engines x grains, E1-E8 fingerprint invariance, and
+   an incremental serve session under mixed insert/delete that must keep
+   dred full applications at 0.  Writes
    BENCH_agg.json and exits nonzero on any divergence or if tightening is
    less than 5x faster on the min workload (the gate is skipped, and
    marked as such, only if the generated workload has fewer than 2
@@ -836,24 +836,17 @@ let eval_bench () =
   out "}\n";
   close_out oc
 
-(* --- Part 4: storage-backend benchmark (BENCH_relalg.json) ------------------ *)
-
-let with_storage storage f =
-  let saved = Relation.default_storage () in
-  Relation.set_default_storage storage;
-  Fun.protect ~finally:(fun () -> Relation.set_default_storage saved) f
-
-let storage_name = function `Hashed -> "hashed" | `Treeset -> "treeset"
+(* --- Part 4: relation-store benchmark (BENCH_relalg.json) ------------------ *)
 
 let indexing_name = function
   | `Cached -> "cached"
   | `Percall -> "percall"
   | `Scan -> "scan"
 
-(* A fingerprint of the E1-E8 experiment drivers: every count a relation
-   backend could corrupt, as (name, integer) pairs.  Computed once per
-   backend inside {!with_storage}; the benchmark exits nonzero if the
-   backends disagree on any entry. *)
+(* A fingerprint of the E1-E8 experiment drivers: every count the relation
+   store, planner or evaluator could corrupt, as (name, integer) pairs.
+   The parts that check it compare against {!expected_fingerprint} and exit
+   nonzero on any divergence. *)
 let parity_fingerprint () =
   let entries = ref [] in
   let add name v = entries := (name, v) :: !entries in
@@ -926,108 +919,96 @@ let parity_fingerprint () =
   add "wf_pi1_c5_possible" (Idb.total_cardinal m.Wellfounded.possible);
   List.rev !entries
 
+(* The E1-E8 counts every configuration must reproduce, pinned so that a
+   change to the relation store, planner or evaluator is caught against a
+   fixed table rather than against itself.  The values were confirmed by
+   two independent relation representations agreeing on every entry. *)
+let expected_fingerprint =
+  [
+    ("e1_census_C4", 2); ("e1_census_C5", 0); ("e1_census_C6", 2);
+    ("e1_census_L5", 1); ("e1_census_2xC4", 4);
+    ("e2_pisat_seed1", 4); ("e2_pisat_seed2", 4); ("e2_pisat_seed3", 7);
+    ("e3_fagin_L3", 1); ("e3_fagin_C3", 1); ("e3_fagin_C4", 1);
+    ("e4_unique_k0", 0); ("e4_unique_k1", 1); ("e4_unique_k2", 0);
+    ("e5_least_pi1_L5", 1); ("e5_least_pi1_C4", 0); ("e5_least_sat_or", 0);
+    ("e6_3col_K3", 1); ("e6_3col_C5", 1); ("e6_3col_grid23", 1);
+    ("e7_tc30_tuples", 900); ("e7_tc30_stages", 6);
+    ("e8_dist_infl_L7", 854); ("e8_dist_strat_L7", 588);
+    ("e8_dist_infl_rnd6", 763); ("e8_dist_strat_rnd6", 180);
+    ("wf_pi1_c5_true", 0); ("wf_pi1_c5_possible", 5);
+  ]
+
+(* Entries of [parity_fingerprint ()] that differ from the pinned table
+   (or are missing from either side), printed as they are found. *)
+let fingerprint_divergences () =
+  let fp = parity_fingerprint () in
+  let names =
+    List.sort_uniq compare (List.map fst (fp @ expected_fingerprint))
+  in
+  List.filter_map
+    (fun name ->
+      let got = List.assoc_opt name fp
+      and want = List.assoc_opt name expected_fingerprint in
+      if got = want then None
+      else begin
+        let show = function Some v -> string_of_int v | None -> "missing" in
+        Format.printf "  DIVERGENCE %s: got %s, expected %s@." name (show got)
+          (show want);
+        Some name
+      end)
+    names
+
 let storage_bench ~quick () =
-  Format.printf
-    "Storage-backend benchmark (hashed vs treeset%s) -> BENCH_relalg.json@."
-    (if quick then ", quick mode" else "");
-  let storages = [ `Hashed; `Treeset ] in
-  let indexings = [ `Cached; `Percall ] in
+  Format.printf "Relation-store benchmark%s -> BENCH_relalg.json@."
+    (if quick then " (quick mode)" else "");
   (* Workload 1 — iteration-heavy TC: the transitive closure of the cycle
      C_n takes n semi-naive stages and saturates at n^2 tuples, so every
      stage unions a delta into an ever-larger closure and deduplicates
-     candidates against it.  This is the regime the packed backend targets:
-     membership is a precomputed-hash probe and union merges integer-set
-     structure, where the tree backend re-walks tuple arrays on every
-     comparison. *)
+     candidates against it: membership probes and Patricia unions on the
+     packed store, under cached vs per-call column indexes. *)
   let tc_n = if quick then 100 else 140 in
   let best_reps = if quick then 2 else 4 in
-  let tc_cell storage indexing =
-    with_storage storage (fun () ->
-        let db = db_of (Generate.cycle tc_n) in
-        let run () =
-          Inflationary.eval ~engine:`Seminaive ~indexing tc_program db
-        in
-        let r, t = best_of best_reps run in
-        (Idb.total_cardinal r, t))
-  in
   let matrix =
-    List.concat_map
-      (fun storage ->
-        List.map
-          (fun indexing ->
-            let tuples, seconds = tc_cell storage indexing in
-            (storage, indexing, tuples, seconds))
-          indexings)
-      storages
+    List.map
+      (fun indexing ->
+        let db = db_of (Generate.cycle tc_n) in
+        let r, seconds =
+          best_of best_reps (fun () ->
+              Inflationary.eval ~engine:`Seminaive ~indexing tc_program db)
+        in
+        (indexing, Idb.total_cardinal r, seconds))
+      [ `Cached; `Percall ]
   in
-  Format.printf "  %-34s %10s %10s@." "tc_iterheavy (storage x indexing)" "ms"
-    "tuples";
+  Format.printf "  %-34s %10s %10s@." "tc_iterheavy (indexing)" "ms" "tuples";
   List.iter
-    (fun (storage, indexing, tuples, seconds) ->
+    (fun (indexing, tuples, seconds) ->
       Format.printf "  %-34s %10.2f %10d@."
-        (Printf.sprintf "tc_%s_%s" (storage_name storage)
-           (indexing_name indexing))
+        ("tc_" ^ indexing_name indexing)
         (seconds *. 1e3) tuples)
     matrix;
-  let cell storage indexing =
-    let _, _, tuples, seconds =
-      List.find (fun (s, i, _, _) -> s = storage && i = indexing) matrix
-    in
-    (tuples, seconds)
-  in
   let tc_counts_agree =
-    match matrix with
-    | (_, _, t0, _) :: rest -> List.for_all (fun (_, _, t, _) -> t = t0) rest
-    | [] -> false
+    List.for_all (fun (_, t, _) -> t = tc_n * tc_n) matrix
   in
   (* Workload 2 — the E1 cycle census at scale: ground pi_1 on the cycle
      C_n, encode Theta(S)=S and count the fixpoints (2 for even cycles).
      Grounding dominates, and its inner loop is one membership probe per
-     candidate binding against the n-edge relation — the storage-sensitive
-     path the packed backend accelerates. *)
+     candidate binding against the n-edge relation. *)
   let census_n = if quick then 400 else 500 in
-  let census storage =
-    with_storage storage (fun () ->
-        let db = db_of (Generate.cycle census_n) in
-        best_of best_reps (fun () ->
-            Fixpoints.count (Fixpoints.prepare pi1 db)))
+  let census_db = db_of (Generate.cycle census_n) in
+  let census, t_census =
+    best_of best_reps (fun () ->
+        Fixpoints.count (Fixpoints.prepare pi1 census_db))
   in
-  let census_hashed, t_census_hashed = census `Hashed in
-  let census_treeset, t_census_treeset = census `Treeset in
   Format.printf "  %-34s %10.2f %10d@."
-    (Printf.sprintf "census_C%d_hashed" census_n)
-    (t_census_hashed *. 1e3) census_hashed;
-  Format.printf "  %-34s %10.2f %10d@."
-    (Printf.sprintf "census_C%d_treeset" census_n)
-    (t_census_treeset *. 1e3) census_treeset;
-  (* E1-E8 parity: both backends must reproduce every experiment count. *)
-  let fp_hashed = with_storage `Hashed parity_fingerprint in
-  let fp_treeset = with_storage `Treeset parity_fingerprint in
-  let divergences =
-    List.filter_map
-      (fun ((name, h), (name', t)) ->
-        assert (name = name');
-        if h = t then None else Some (name, h, t))
-      (List.combine fp_hashed fp_treeset)
-  in
-  List.iter
-    (fun (name, h, t) ->
-      Format.printf "  DIVERGENCE %s: hashed=%d treeset=%d@." name h t)
-    divergences;
-  let parity_ok = divergences = [] && census_hashed = census_treeset in
-  let _, t_hc = cell `Hashed `Cached in
-  let _, t_hp = cell `Hashed `Percall in
-  let _, t_tc = cell `Treeset `Cached in
-  let _, t_tp = cell `Treeset `Percall in
-  let speedup_tc = t_tc /. t_hc in
-  let speedup_tc_percall = t_tp /. t_hp in
-  let speedup_census = t_census_treeset /. t_census_hashed in
-  Format.printf "  hashed vs treeset (tc, cached):  %.2fx@." speedup_tc;
-  Format.printf "  hashed vs treeset (tc, percall): %.2fx@." speedup_tc_percall;
-  Format.printf "  hashed vs treeset (census):      %.2fx@." speedup_census;
+    (Printf.sprintf "census_C%d" census_n)
+    (t_census *. 1e3) census;
+  let census_ok = census = 2 in
+  let divergences = fingerprint_divergences () in
   Format.printf
-    "  parity: E1-E8 fingerprints (%d entries) %s, tc models %s@."
-    (List.length fp_hashed) (ok parity_ok) (ok tc_counts_agree);
+    "  parity: E1-E8 fingerprints (%d pinned entries) %s, census %s, tc \
+     models %s@."
+    (List.length expected_fingerprint) (ok (divergences = [])) (ok census_ok)
+    (ok tc_counts_agree);
   let oc = open_out "BENCH_relalg.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -1036,39 +1017,29 @@ let storage_bench ~quick () =
   out "  \"grain\": %S,\n" (Engine.grain_to_string (Engine.default_grain ()));
   out "  \"matrix\": [\n";
   List.iteri
-    (fun i (storage, indexing, tuples, seconds) ->
+    (fun i (indexing, tuples, seconds) ->
       out
-        "    {\"workload\": \"tc_iterheavy\", \"storage\": %S, \"indexing\": \
-         %S, \"ns_per_op\": %.0f, \"tuples\": %d}%s\n"
-        (storage_name storage) (indexing_name indexing)
-        (seconds *. 1e9) tuples
+        "    {\"workload\": \"tc_iterheavy\", \"indexing\": %S, \
+         \"ns_per_op\": %.0f, \"tuples\": %d}%s\n"
+        (indexing_name indexing) (seconds *. 1e9) tuples
         (if i = List.length matrix - 1 then "" else ","))
     matrix;
   out "  ],\n";
   out "  \"census\": [\n";
   out
-    "    {\"workload\": \"e1_census_C%d\", \"storage\": \"hashed\", \
-     \"ns_per_op\": %.0f, \"fixpoints\": %d},\n"
-    census_n (t_census_hashed *. 1e9) census_hashed;
-  out
-    "    {\"workload\": \"e1_census_C%d\", \"storage\": \"treeset\", \
-     \"ns_per_op\": %.0f, \"fixpoints\": %d}\n"
-    census_n (t_census_treeset *. 1e9) census_treeset;
+    "    {\"workload\": \"e1_census_C%d\", \"ns_per_op\": %.0f, \
+     \"fixpoints\": %d}\n"
+    census_n (t_census *. 1e9) census;
   out "  ],\n";
-  out "  \"speedups\": {\n";
-  out "    \"hashed_vs_treeset_tc_cached\": %.3f,\n" speedup_tc;
-  out "    \"hashed_vs_treeset_tc_percall\": %.3f,\n" speedup_tc_percall;
-  out "    \"hashed_vs_treeset_census\": %.3f\n" speedup_census;
-  out "  },\n";
   out "  \"checks\": {\n";
-  out "    \"e1_e8_fingerprints_match\": %b,\n" (divergences = []);
-  out "    \"census_counts_match\": %b,\n" (census_hashed = census_treeset);
+  out "    \"e1_e8_fingerprints_match_pinned\": %b,\n" (divergences = []);
+  out "    \"census_count_matches_pinned\": %b,\n" census_ok;
   out "    \"tc_models_agree\": %b\n" tc_counts_agree;
   out "  }\n";
   out "}\n";
   close_out oc;
-  if not (parity_ok && tc_counts_agree) then begin
-    Format.printf "  backend divergence detected — failing@.";
+  if not (divergences = [] && census_ok && tc_counts_agree) then begin
+    Format.printf "  divergence from the pinned counts — failing@.";
     exit 1
   end
 
@@ -1260,19 +1231,18 @@ let with_drift factor f =
 
 let plan_bench ~quick () =
   Format.printf
-    "Planner ablation benchmark (static vs greedy vs scan vs adaptive%s) -> \
+    "Planner ablation benchmark (static vs scan vs adaptive%s) -> \
      BENCH_plan.json@."
     (if quick then ", quick mode" else "");
-  let planners = [ `Static; `Greedy; `Scan; `Adaptive ] in
+  let planners = [ `Static; `Scan; `Adaptive ] in
   let best_reps = if quick then 2 else 4 in
   (* Workload 1 — the Theta-application loop itself, on E1's pi_1: the
      operator every semantics in the paper iterates, applied over and over
      at its inflationary valuation on C_8 with a shared plan cache.  This
      is the regime of Theta.iterate's orbit detection and the well-founded
      alternating fixpoint's inner reducts — thousands of applications over
-     a tiny valuation — and it isolates exactly what the plan layer
-     changed: per application, static fetches a cached plan where greedy
-     replans from fresh cardinalities. *)
+     a tiny valuation — and it isolates the plan layer's per-application
+     overhead: every application fetches a cached plan. *)
   let theta_db = db_of (Generate.cycle 8) in
   (* A true fixpoint valuation (one of C_8's kernels), so each application
      re-derives exactly S. *)
@@ -1295,13 +1265,11 @@ let plan_bench ~quick () =
         let r, t = best_of best_reps run in
         (Idb.total_cardinal r, t /. float_of_int theta_iters))
   in
-  (* Workload 2 — application-heavy TC (the E7 family, tilted to where
-     replanning hurts): k vertex-disjoint transitive closures over small
-     cycles.  Every semi-naive stage runs one delta application per copy,
-     each joining a handful of tuples — so the greedy policy pays a
-     replan per copy per stage against joins too small to ever reorder
-     differently.  Static planning compiles each (rule, variant) once and
-     hits the cache for the rest of the run. *)
+  (* Workload 2 — application-heavy TC (the E7 family): k vertex-disjoint
+     transitive closures over small cycles.  Every semi-naive stage runs
+     one delta application per copy, each joining a handful of tuples.
+     Static planning compiles each (rule, variant) once and hits the cache
+     for the rest of the run. *)
   let multi_copies = if quick then 32 else 48 in
   let multi_cycle = 8 in
   let multi_reps = if quick then 4 else 6 in
@@ -1350,10 +1318,8 @@ let plan_bench ~quick () =
         (Relation.cardinal r, t /. float_of_int dist_reps))
   in
   (* Workload 4 — dense TC (join-output-dominated, the E7 dense point):
-     here execution dwarfs planning, so static and greedy should tie and
-     only scan (no index probes) falls off a cliff.  Kept as the honest
-     counterpoint: static planning wins by removing replan overhead, not
-     by finding better orders than greedy. *)
+     here execution dwarfs planning, and scan (no index probes) falls off
+     a cliff. *)
   let dense_n = if quick then 90 else 140 in
   let dense_db =
     db_of (Generate.random ~seed:79 ~n:dense_n ~p:(4.0 /. float_of_int dense_n))
@@ -1402,16 +1368,7 @@ let plan_bench ~quick () =
         List.for_all (fun p -> fst (cell wname p) = t0) planners)
       workloads
   in
-  let speedup wname a b = snd (cell wname b) /. snd (cell wname a) in
-  let sg_theta = speedup "theta_pi1_apply" `Static `Greedy in
-  let sg_tc = speedup "tc_multi_iterheavy" `Static `Greedy in
-  let sg_dist = speedup "distance_path" `Static `Greedy in
-  let sg_dense = speedup "tc_dense" `Static `Greedy in
-  let ss_dense = speedup "tc_dense" `Static `Scan in
-  Format.printf "  static vs greedy (theta loop):    %.2fx@." sg_theta;
-  Format.printf "  static vs greedy (tc multi):      %.2fx@." sg_tc;
-  Format.printf "  static vs greedy (distance):      %.2fx@." sg_dist;
-  Format.printf "  static vs greedy (tc dense):      %.2fx@." sg_dense;
+  let ss_dense = snd (cell "tc_dense" `Scan) /. snd (cell "tc_dense" `Static) in
   Format.printf "  static vs scan   (tc dense):      %.2fx@." ss_dense;
   (* The adaptive gate: no single static choice wins every workload (scan
      beats static on the many-tiny-joins TC, static beats scan 6x+ on the
@@ -1425,7 +1382,7 @@ let plan_bench ~quick () =
           List.fold_left
             (fun acc p -> Float.min acc (snd (cell wname p)))
             infinity
-            [ `Static; `Greedy; `Scan ]
+            [ `Static; `Scan ]
         in
         (wname, snd (cell wname `Adaptive) /. best))
       workloads
@@ -1448,26 +1405,19 @@ let plan_bench ~quick () =
     (ok adaptive_beats_static_tc_multi);
   (* Plan-counter telemetry on the iteration-heavy workload: static compiles
      a bounded set of plans — full + delta variants, at most 3 per copy —
-     and hits the cache everywhere else; greedy compiles once per rule
-     application, so it scales with iterations, not rules. *)
-  let counters planner =
-    with_planner planner (fun () ->
+     and hits the cache everywhere else, so compiles scale with rules, not
+     iterations. *)
+  let static_compiles, static_hits =
+    with_planner `Static (fun () ->
         let stats = Stats.create () in
         ignore
           (Inflationary.eval ~engine:`Seminaive ~stats multi_program multi_db);
         (stats.Stats.plan.Plan.plan_compiles,
          stats.Stats.plan.Plan.plan_cache_hits))
   in
-  let static_compiles, static_hits = counters `Static in
-  let greedy_compiles, greedy_hits = counters `Greedy in
-  Format.printf
-    "  plan compiles on %dx tc C_%d: static %d (%d cache hits), greedy %d \
-     (%d)@."
-    multi_copies multi_cycle static_compiles static_hits greedy_compiles
-    greedy_hits;
-  let compile_once_ok =
-    static_compiles <= 3 * multi_copies && greedy_compiles > static_compiles
-  in
+  Format.printf "  plan compiles on %dx tc C_%d: static %d (%d cache hits)@."
+    multi_copies multi_cycle static_compiles static_hits;
+  let compile_once_ok = static_compiles <= 3 * multi_copies in
   (* Feedback-loop telemetry on the dense TC, where the growing closure
      moves observed per-step cardinalities furthest from the estimates the
      delta plans were compiled against: the adaptive planner converts the
@@ -1543,9 +1493,7 @@ let plan_bench ~quick () =
   out "  ],\n";
   out "  \"plan_counters\": {\n";
   out "    \"static_compiles\": %d,\n" static_compiles;
-  out "    \"static_cache_hits\": %d,\n" static_hits;
-  out "    \"greedy_compiles\": %d,\n" greedy_compiles;
-  out "    \"greedy_cache_hits\": %d\n" greedy_hits;
+  out "    \"static_cache_hits\": %d\n" static_hits;
   out "  },\n";
   out "  \"adaptive\": {\n";
   out "    \"tc_dense_compiles_default_drift\": %d,\n" dense_compiles_default;
@@ -1559,10 +1507,6 @@ let plan_bench ~quick () =
     adaptive_margins;
   out "  },\n";
   out "  \"speedups\": {\n";
-  out "    \"static_vs_greedy_theta_apply\": %.3f,\n" sg_theta;
-  out "    \"static_vs_greedy_tc_iterheavy\": %.3f,\n" sg_tc;
-  out "    \"static_vs_greedy_distance\": %.3f,\n" sg_dist;
-  out "    \"static_vs_greedy_tc_dense\": %.3f,\n" sg_dense;
   out "    \"static_vs_scan_tc_dense\": %.3f\n" ss_dense;
   out "  },\n";
   out "  \"checks\": {\n";
@@ -1897,14 +1841,8 @@ let par_bench ~quick () =
   let merge_db =
     db_of (Generate.random ~seed:77 ~n:merge_n ~p:(3.0 /. float_of_int merge_n))
   in
-  let closure =
-    Inflationary.eval ~engine:`Seminaive ~storage:`Hashed tc_program merge_db
-  in
-  let closure_ids =
-    match Relation.ids (Idb.get closure "s") with
-    | Some s -> s
-    | None -> assert false
-  in
+  let closure = Inflationary.eval ~engine:`Seminaive tc_program merge_db in
+  let closure_ids = Relation.ids (Idb.get closure "s") in
   let rows =
     Array.of_list
       (List.rev (Relalg.Idset.fold (fun id acc -> id :: acc) closure_ids []))
@@ -1946,7 +1884,7 @@ let par_bench ~quick () =
   let fresh_builders () =
     Array.map
       (fun tuples ->
-        let b = Relation.builder ~storage:`Hashed 2 in
+        let b = Relation.builder 2 in
         Array.iter (fun t -> ignore (Relation.builder_add b t)) tuples;
         b)
       shard_tuples
@@ -2652,32 +2590,26 @@ let agg_bench ~quick () =
       ~limit_pred:"best" ~derived:[ "good"; "modest" ]
   in
   (* Config parity: the limit model's fingerprint must be invariant across
-     storage backends, planners, engines and grain defaults. *)
+     planners, engines and grain defaults. *)
   let model_fp ?planner ?engine () =
     Idb.fingerprint (Stratified.eval_exn ?planner ?engine min_limit min_db)
   in
-  let reference = with_storage `Hashed (fun () -> model_fp ()) in
+  let reference = model_fp () in
   let config_fps =
     List.concat_map
-      (fun storage ->
-        List.concat_map
-          (fun planner ->
-            List.map
-              (fun engine ->
-                let name =
-                  Printf.sprintf "%s/%s/%s" (storage_name storage)
-                    (planner_name planner)
-                    (match engine with
-                    | `Seminaive -> "seminaive"
-                    | `Parallel -> "parallel"
-                    | `Naive -> "naive")
-                in
-                ( name,
-                  with_storage storage (fun () ->
-                      model_fp ~planner ~engine ()) ))
-              [ `Seminaive; `Parallel ])
-          [ `Static; `Adaptive ])
-      [ `Hashed; `Treeset ]
+      (fun planner ->
+        List.map
+          (fun engine ->
+            let name =
+              Printf.sprintf "%s/%s" (planner_name planner)
+                (match engine with
+                | `Seminaive -> "seminaive"
+                | `Parallel -> "parallel"
+                | `Naive -> "naive")
+            in
+            (name, model_fp ~planner ~engine ()))
+          [ `Seminaive; `Parallel ])
+      [ `Static; `Adaptive ]
   in
   let config_fps =
     config_fps
@@ -2697,22 +2629,10 @@ let agg_bench ~quick () =
   Format.printf "  parity: limit model fingerprints (%d configs) %s@."
     (List.length config_fps) (ok config_parity);
   (* E1-E8 invariance: the limit machinery must leave every pre-existing
-     experiment count untouched, under both storage backends. *)
-  let fp_hashed = with_storage `Hashed parity_fingerprint in
-  let fp_treeset = with_storage `Treeset parity_fingerprint in
-  let e_divergences =
-    List.filter_map
-      (fun ((name, h), (name', t)) ->
-        assert (name = name');
-        if h = t then None else Some name)
-      (List.combine fp_hashed fp_treeset)
-  in
-  List.iter
-    (fun name -> Format.printf "  DIVERGENCE E1-E8 %s@." name)
-    e_divergences;
-  let e18_parity = e_divergences = [] in
-  Format.printf "  parity: E1-E8 fingerprints (%d entries) %s@."
-    (List.length fp_hashed) (ok e18_parity);
+     experiment count at its pinned value. *)
+  let e18_parity = fingerprint_divergences () = [] in
+  Format.printf "  parity: E1-E8 fingerprints (%d pinned entries) %s@."
+    (List.length expected_fingerprint) (ok e18_parity);
   (* Incremental maintenance: a serve session over the weighted ring under
      mixed insert/delete must track from-scratch saturation with zero full
      (non-delta) applications. *)

@@ -98,15 +98,6 @@ let indexing_arg =
            column indexes maintained incrementally), $(b,percall) (rebuilt \
            for every rule application), or $(b,scan) (no indexes).")
 
-let storage_arg =
-  let storage_conv = Arg.enum [ ("hashed", `Hashed); ("treeset", `Treeset) ] in
-  Arg.(
-    value
-    & opt storage_conv `Hashed
-    & info [ "storage" ] ~docv:"BACKEND"
-        ~doc:
-          "Relation storage backend: $(b,hashed) (default, packed tuple ids            in Patricia sets over the global tuple store) or $(b,treeset)            (balanced tuple sets, the pre-packing behaviour, kept as an            ablation).")
-
 let planner_arg =
   let planner_conv =
     let parse s =
@@ -126,9 +117,8 @@ let planner_arg =
            sizes drift), $(b,adaptive) (static plus a feedback loop: \
            observed per-step cardinalities that diverge from the \
            estimates trigger a bounded recompile with the observed values \
-           substituted), $(b,greedy) (replan on every rule application — \
-           the pre-plan-layer behaviour, kept as an ablation), or \
-           $(b,scan) (textual literal order, no index probes).")
+           substituted), or $(b,scan) (textual literal order, no index \
+           probes).")
 
 let plan_drift_arg =
   Arg.(
@@ -265,10 +255,7 @@ let eval_cmd =
              (fail closed), a merely stale one is re-evaluated.")
   in
   let run program_path db_path semantics engine planner plan_drift explain
-      indexing storage stats sat_par grain pred snapshot_file =
-    (* Set the default before loading, so the base relations parsed from the
-       database are built in the chosen backend too. *)
-    Negdl.Relation.set_default_storage storage;
+      indexing stats sat_par grain pred snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
     Negdl.Engine.set_default_grain grain;
     apply_plan_drift plan_drift;
@@ -282,7 +269,7 @@ let eval_cmd =
     let evaluate_and_save () =
       let result =
         or_die
-          (Negdl.run ~engine ~planner ?plan_cache ~indexing ~storage ?stats
+          (Negdl.run ~engine ~planner ?plan_cache ~indexing ?stats
              semantics program db)
       in
       (match snapshot_file with
@@ -320,7 +307,7 @@ let eval_cmd =
         in
         if not fresh then evaluate_and_save ()
         else
-          let r = snap_die (Negdl.Snapshot.restore ~storage image) in
+          let r = snap_die (Negdl.Snapshot.restore image) in
           {
             Negdl.facts = idb_of_bindings program r.Negdl.Snapshot.r_idb;
             unknown =
@@ -360,8 +347,7 @@ let eval_cmd =
     Term.(
       const run $ program_arg $ database_arg $ semantics_arg $ engine_arg
       $ planner_arg $ plan_drift_arg $ explain_arg $ indexing_arg
-      $ storage_arg $ stats_arg $ sat_par_arg $ parallel_grain_arg $ pred_arg
-      $ snapshot_arg)
+      $ stats_arg $ sat_par_arg $ parallel_grain_arg $ pred_arg $ snapshot_arg)
 
 (* --- fixpoints ---------------------------------------------------------------- *)
 
@@ -410,9 +396,8 @@ let fixpoints_cmd =
              EDB is trusted (checksummed, but not compared against the \
              text file) — delete $(docv) after editing $(i,DATABASE).")
   in
-  let run program_path db_path storage planner plan_drift explain limit
-      enumerate sat_par grain sat_budget count_budget stats snapshot_file =
-    Negdl.Relation.set_default_storage storage;
+  let run program_path db_path planner plan_drift explain limit enumerate
+      sat_par grain sat_budget count_budget stats snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
     Negdl.Engine.set_default_grain grain;
     apply_plan_drift plan_drift;
@@ -444,7 +429,7 @@ let fixpoints_cmd =
             (Negdl.Snapshot.error_to_string e);
           load_and_save ()
         | Ok () ->
-          (snap_die (Negdl.Snapshot.restore ~storage image))
+          (snap_die (Negdl.Snapshot.restore image))
             .Negdl.Snapshot.r_db)
       | _ -> load_and_save ()
     in
@@ -503,10 +488,10 @@ let fixpoints_cmd =
   Cmd.v
     (Cmd.info "fixpoints" ~doc)
     Term.(
-      const run $ program_arg $ database_arg $ storage_arg $ planner_arg
-      $ plan_drift_arg $ explain_arg $ limit_arg $ enumerate_arg
-      $ sat_par_arg $ parallel_grain_arg $ sat_budget_arg $ count_budget_arg
-      $ stats_arg $ snapshot_arg)
+      const run $ program_arg $ database_arg $ planner_arg $ plan_drift_arg
+      $ explain_arg $ limit_arg $ enumerate_arg $ sat_par_arg
+      $ parallel_grain_arg $ sat_budget_arg $ count_budget_arg $ stats_arg
+      $ snapshot_arg)
 
 (* --- explain ----------------------------------------------------------------- *)
 
@@ -682,9 +667,32 @@ let serve_cmd =
              program — is a hard error.  When $(docv) does not exist, \
              materialise normally and checkpoint to it before serving.")
   in
-  let run program_path db_path engine planner plan_drift indexing storage
-      stats grain socket snapshot_file =
-    Negdl.Relation.set_default_storage storage;
+  (* Clears [path] for [bind]: a stale socket from an earlier server is
+     removed, but anything else there — most likely a mistyped path — is
+     left alone and refused. *)
+  let clear_socket_path path =
+    match Unix.lstat path with
+    | exception Unix.Unix_error (Unix.ENOENT, _, _) -> Ok ()
+    | exception Unix.Unix_error (e, _, _) ->
+      Error (Printf.sprintf "--socket %s: %s" path (Unix.error_message e))
+    | { Unix.st_kind = Unix.S_SOCK; _ } -> (
+      try Ok (Unix.unlink path)
+      with Unix.Unix_error (e, _, _) ->
+        Error (Printf.sprintf "--socket %s: %s" path (Unix.error_message e)))
+    | _ ->
+      Error
+        (Printf.sprintf
+           "--socket %s: exists and is not a socket; refusing to replace it"
+           path)
+  in
+  let run program_path db_path engine planner plan_drift indexing stats grain
+      socket snapshot_file =
+    Option.iter (fun path -> or_die (clear_socket_path path)) socket;
+    (* A client that stops reading must end only its own session: with
+       SIGPIPE ignored, writing to it raises [Sys_error] (EPIPE) instead of
+       killing the server. *)
+    (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
+     with Invalid_argument _ -> ());
     Negdl.Engine.set_default_grain grain;
     apply_plan_drift plan_drift;
     let program = or_die (load_program program_path) in
@@ -693,7 +701,7 @@ let serve_cmd =
       let db = or_die (load_database db_path) in
       let state =
         or_die
-          (Negdl.Serve.create ~engine ~planner ~indexing ~storage ~grain
+          (Negdl.Serve.create ~engine ~planner ~indexing ~grain
              ~stats:stats_rec program db)
       in
       (match snapshot_file with
@@ -709,8 +717,8 @@ let serve_cmd =
       | Some file when Sys.file_exists file ->
         let image = snap_die (Negdl.Snapshot.read_file file) in
         or_die
-          (Negdl.Serve.create_restored ~engine ~planner ~indexing ~storage
-             ~grain ~stats:stats_rec program image)
+          (Negdl.Serve.create_restored ~engine ~planner ~indexing ~grain
+             ~stats:stats_rec program image)
       | _ -> cold_start ()
     in
     (* One client session over a raw file descriptor; returns how it
@@ -799,20 +807,26 @@ let serve_cmd =
       in
       loop ()
     in
+    (* A failed write (the client went away) ends that session.  Replies go
+       through a channel of their own, closed with [close_out_noerr], so no
+       undeliverable bytes are left behind for the exit-time flush. *)
+    let run_session ~input ~output =
+      let oc = Unix.out_channel_of_descr output in
+      let outcome = try session input oc with Sys_error _ -> `Eof in
+      close_out_noerr oc;
+      outcome
+    in
     (match socket with
-    | None -> ignore (session Unix.stdin stdout)
+    | None -> ignore (run_session ~input:Unix.stdin ~output:Unix.stdout)
     | Some path ->
       let sock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      (try Unix.unlink path with Unix.Unix_error _ -> ());
       Unix.bind sock (Unix.ADDR_UNIX path);
       Unix.listen sock 8;
       let rec accept_loop () =
         let client, _ = Unix.accept sock in
-        let oc = Unix.out_channel_of_descr client in
-        let outcome = try session client oc with Sys_error _ -> `Eof in
-        (try flush oc with Sys_error _ -> ());
-        (try Unix.close client with Unix.Unix_error _ -> ());
-        match outcome with `Shutdown -> () | `Quit | `Eof -> accept_loop ()
+        match run_session ~input:client ~output:client with
+        | `Shutdown -> ()
+        | `Quit | `Eof -> accept_loop ()
       in
       accept_loop ();
       (try Unix.close sock with Unix.Unix_error _ -> ());
@@ -844,8 +858,8 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ program_arg $ database_arg $ engine_arg $ planner_arg
-      $ plan_drift_arg $ indexing_arg $ storage_arg $ stats_arg
-      $ parallel_grain_arg $ socket_arg $ snapshot_arg)
+      $ plan_drift_arg $ indexing_arg $ stats_arg $ parallel_grain_arg
+      $ socket_arg $ snapshot_arg)
 
 (* --- snapshot / restore ----------------------------------------------------- *)
 
@@ -871,12 +885,11 @@ let snapshot_cmd =
             "One of $(b,inflationary), $(b,stratified) (default), \
              $(b,well-founded), $(b,kripke-kleene), $(b,least).")
   in
-  let run program_path db_path file semantics engine planner storage =
-    Negdl.Relation.set_default_storage storage;
+  let run program_path db_path file semantics engine planner =
     let program = or_die (load_program program_path) in
     let db = or_die (load_database db_path) in
     let result =
-      or_die (Negdl.run ~engine ~planner ~storage semantics program db)
+      or_die (Negdl.run ~engine ~planner semantics program db)
     in
     let bytes =
       save_snapshot ~program
@@ -913,7 +926,7 @@ let snapshot_cmd =
     (Cmd.info "snapshot" ~doc ~man)
     Term.(
       const run $ program_arg $ database_arg $ snapshot_file_arg
-      $ semantics_arg $ engine_arg $ planner_arg $ storage_arg)
+      $ semantics_arg $ engine_arg $ planner_arg)
 
 let restore_cmd =
   let file_arg =
@@ -928,8 +941,7 @@ let restore_cmd =
       & opt (some string) None
       & info [ "p"; "pred" ] ~docv:"PRED" ~doc:"Print only this predicate.")
   in
-  let run program_path file storage pred =
-    Negdl.Relation.set_default_storage storage;
+  let run program_path file pred =
     let program = or_die (load_program program_path) in
     let image = snap_die (Negdl.Snapshot.read_file file) in
     (* The file's own semantics tag is authoritative for display; the
@@ -937,7 +949,7 @@ let restore_cmd =
     snap_die
       (Negdl.Snapshot.check_program image ~program
          ~semantics:image.Negdl.Snapshot.semantics);
-    let r = snap_die (Negdl.Snapshot.restore ~storage image) in
+    let r = snap_die (Negdl.Snapshot.restore image) in
     let facts = idb_of_bindings program r.Negdl.Snapshot.r_idb in
     (match pred with
     | None -> print_idb facts
@@ -966,7 +978,7 @@ let restore_cmd =
   in
   Cmd.v
     (Cmd.info "restore" ~doc ~man)
-    Term.(const run $ program_arg $ file_arg $ storage_arg $ pred_arg)
+    Term.(const run $ program_arg $ file_arg $ pred_arg)
 
 (* --- why -------------------------------------------------------------------- *)
 

@@ -119,7 +119,7 @@ let reject_limits who (program : Ast.program) =
          l.limit_pred
          (Ast.limit_kind_to_string l.kind))
 
-let run ?engine ?planner ?plan_cache ?indexing ?storage ?stats semantics
+let run ?engine ?planner ?plan_cache ?indexing ?stats semantics
     program db =
   let cache = plan_cache in
   try
@@ -131,7 +131,7 @@ let run ?engine ?planner ?plan_cache ?indexing ?storage ?stats semantics
       Ok
         {
           facts =
-            Inflationary.eval ?engine ?planner ?cache ?indexing ?storage
+            Inflationary.eval ?engine ?planner ?cache ?indexing
               ?stats program db;
           unknown = None;
         }
@@ -139,20 +139,20 @@ let run ?engine ?planner ?plan_cache ?indexing ?storage ?stats semantics
       Ok
         {
           facts =
-            Naive.least_fixpoint ?engine ?planner ?cache ?indexing ?storage
+            Naive.least_fixpoint ?engine ?planner ?cache ?indexing
               ?stats program db;
           unknown = None;
         }
     | Semantics_stratified -> (
       match
-        Stratified.eval ?engine ?planner ?cache ?indexing ?storage ?stats
+        Stratified.eval ?engine ?planner ?cache ?indexing ?stats
           program db
       with
       | Ok facts -> Ok { facts; unknown = None }
       | Error e -> Error (Stratified.error_to_string e))
     | Semantics_well_founded ->
       let model =
-        Wellfounded.eval ?engine ?planner ?cache ?indexing ?storage ?stats
+        Wellfounded.eval ?engine ?planner ?cache ?indexing ?stats
           program db
       in
       let unknown = Wellfounded.unknown model in

@@ -164,7 +164,6 @@ val run :
   ?planner:Plan.planner ->
   ?plan_cache:Plan_cache.t ->
   ?indexing:Engine.indexing ->
-  ?storage:Relation.storage ->
   ?stats:Stats.t ->
   semantics ->
   Ast.program ->
@@ -178,12 +177,10 @@ val run :
     them.  [engine] selects the saturation
     strategy ([`Seminaive] default, [`Naive], or [`Parallel] which fans the
     rule applications of each iteration across domains); [indexing] selects
-    the column-index strategy (see {!Engine.indexing}); [storage] selects
-    the relation backend the derived relations are built in (see
-    {!Relation.storage}; the global default is set with
-    {!Relation.set_default_storage}); [planner] selects the join-order
-    planning policy ({!Plan.planner}: [`Static] compile-once plans by
-    default, [`Greedy] per-application replanning, [`Scan] textual order);
+    the column-index strategy (see {!Engine.indexing}); [planner] selects
+    the join-order planning policy ({!Plan.planner}: [`Static]
+    compile-once plans by default, [`Scan] textual order, [`Adaptive]
+    feedback-driven replanning);
     [plan_cache], when given, retains the compiled plans — the CLI's
     [--explain] prints them back with estimated and actual cardinalities;
     [stats], when given, accumulates evaluation counters and stage timings

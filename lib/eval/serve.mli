@@ -49,7 +49,6 @@ val create :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
   ?stats:Stats.t ->
@@ -65,7 +64,6 @@ val create_restored :
   ?engine:Saturate.engine ->
   ?planner:Engine.planner ->
   ?indexing:Engine.indexing ->
-  ?storage:Relalg.Relation.storage ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
   ?stats:Stats.t ->

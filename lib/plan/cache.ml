@@ -36,7 +36,7 @@ let create () = { table = H.create 32; pending = H.create 8 }
    falls back to a plain recompile (which clears the overrides and resets
    the generation): each lookup performs at most one compilation, so a
    persistently mispredicting rule costs one recompile per stage at worst
-   — the greedy planner's steady state — instead of diverging. *)
+   instead of diverging. *)
 let max_generation = 2
 
 (* Replan when any cardinality the cost model saw has drifted past the
@@ -78,10 +78,6 @@ let find ?counters ?planner ?(variant = Plan.Full) ?label ?(limits = [])
     Plan.compile ~planner ~variant ?label ~limits ~sizes ~universe_size rule
   in
   match planner with
-  | `Greedy ->
-    (* The ablation baseline replans on every application and never reads
-       the cache. *)
-    compile ()
   | `Static | `Scan -> (
     let key = { krule = rule; kvariant = variant; klimit } in
     match H.find_opt cache.table key with

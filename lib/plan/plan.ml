@@ -22,25 +22,23 @@ type resolver = occurrence -> source
 
 type indexing = [ `Cached | `Percall | `Scan ]
 
-type planner = [ `Static | `Greedy | `Scan | `Adaptive ]
+type planner = [ `Static | `Scan | `Adaptive ]
 
 let planner_of_string = function
   | "static" -> Ok `Static
-  | "greedy" -> Ok `Greedy
   | "scan" -> Ok `Scan
   | "adaptive" -> Ok `Adaptive
   | s ->
-    Error (Printf.sprintf "unknown planner %S (static|greedy|scan|adaptive)" s)
+    Error (Printf.sprintf "unknown planner %S (static|scan|adaptive)" s)
 
 let planner_to_string = function
   | `Static -> "static"
-  | `Greedy -> "greedy"
   | `Scan -> "scan"
   | `Adaptive -> "adaptive"
 
 let pp_planner ppf p = Format.pp_print_string ppf (planner_to_string p)
 
-(* The global default, ablatable like {!Relation.set_default_storage}. *)
+(* The global default, ablatable for benchmarks. *)
 let default = Atomic.make `Static
 
 let set_default_planner p = Atomic.set default p
@@ -447,7 +445,7 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
       match planner with
       | `Scan -> false
       | `Adaptive -> card > probe_cutoff
-      | `Static | `Greedy -> true
+      | `Static -> true
     in
     if use_probe then
       let key = args.(!col) in
@@ -457,7 +455,7 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
       push (Index_probe { access; col = !col; key; pat = pattern args }) est
     else push (Scan { access; pat = pattern args }) est
   in
-  (* Cost-based ordering (Static / Greedy / Adaptive): repeatedly
+  (* Cost-based ordering (Static / Adaptive): repeatedly
      1. emit every decided literal (comparisons, then half-bound equality
         propagation, then membership filters), turning atoms whose only
         unbound variables are {e dead} (head-absent and unread by any
@@ -688,7 +686,7 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
   in
   (match planner with
   | `Scan -> textual ()
-  | `Static | `Greedy | `Adaptive -> solve ());
+  | `Static | `Adaptive -> solve ());
   let head_args =
     Array.of_list (List.map term_of r.head.args)
   in

@@ -64,11 +64,9 @@ type indexing = [ `Cached | `Percall | `Scan ]
     or plain scans (the pattern re-checks the probed column, so the
     fallback needs no replanning). *)
 
-type planner = [ `Static | `Greedy | `Scan | `Adaptive ]
+type planner = [ `Static | `Scan | `Adaptive ]
 (** - [`Static] (default): compile once per (rule, variant), cache, and
       only recompile when relation sizes drift past the {!Cache} threshold;
-    - [`Greedy]: recompile on every rule application with fresh sizes —
-      the pre-plan-layer behaviour, kept as the ablation baseline;
     - [`Scan]: no planning at all — textual literal order, no index
       probes (plans are size-independent and cached);
     - [`Adaptive]: like [`Static], plus the feedback loop — observed
@@ -83,7 +81,7 @@ val pp_planner : Format.formatter -> planner -> unit
 
 val set_default_planner : planner -> unit
 (** Sets the planner used when no explicit [?planner] is given (the bench
-    ablates through this, like {!Relalg.Relation.set_default_storage}). *)
+    ablates through this). *)
 
 val default_planner : unit -> planner
 

@@ -8,7 +8,7 @@
     is canonical, so structural equality coincides with set equality.
 
     These sets hold the interned tuple ids of {!Store}, making them the
-    substrate of the hashed relation backend ({!Hash_store}).
+    substrate of {!Relation}.
 
     All operations that insert elements raise [Invalid_argument] on negative
     integers. *)
@@ -67,6 +67,6 @@ val of_sorted_array : int array -> t
 (** [of_sorted_array a] builds the set of a strictly increasing array in
     one pass: one allocation per node of the (canonical) result, where
     folding {!add} copies a root path per element — the bulk-construction
-    path of the hashed backend and the snapshot restore.  The array is not
+    path of {!Relation} and the snapshot restore.  The array is not
     retained.  Unspecified if [a] is not strictly increasing.
     @raise Invalid_argument on negative elements. *)

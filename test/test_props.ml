@@ -14,6 +14,9 @@
        stratified, and a least fixpoint always exists;
      - on stratifiable programs the well-founded model is total and equals
        the stratified semantics;
+     - the stratified, inflationary and well-founded models equal those of
+       a naive reference evaluator over plain sets
+       (test/support/reference.ml);
      - the Proposition 1 operator translation preserves semantics. *)
 
 module Ast = Datalog.Ast
@@ -28,6 +31,10 @@ module Digraph = Graphlib.Digraph
 
 let arb_case = Testsupport.Gen_programs.arb_case
 
+module Reference = Testsupport.Reference
+
+let atoms idb = Reference.atoms_of_bindings (Idb.bindings idb)
+
 let positivise = Testsupport.Gen_programs.positivise
 
 (* --- properties ------------------------------------------------------------ *)
@@ -39,53 +46,44 @@ let prop_engines_agree =
         (Evallib.Inflationary.eval ~engine:`Naive p db)
         (Evallib.Inflationary.eval ~engine:`Seminaive p db))
 
-(* Every (storage, engine, indexing) combination must compute the same
-   model — the fixpoint is a semantic object, not an artefact of relation
-   representation, evaluation order, index structure, or domain
-   scheduling. *)
-let storages : Relalg.Relation.storage list = [ `Hashed; `Treeset ]
-
+(* Every (engine, indexing) combination must compute the same model — the
+   fixpoint is a semantic object, not an artefact of evaluation order,
+   index structure, or domain scheduling. *)
 let engines = [ `Naive; `Seminaive; `Parallel ]
 
 let indexings = [ `Cached; `Percall; `Scan ]
 
 let all_modes_agree eval equal reference =
   List.for_all
-    (fun storage ->
+    (fun engine ->
       List.for_all
-        (fun engine ->
-          List.for_all
-            (fun indexing ->
-              equal reference (eval ~storage ~engine ~indexing))
-            indexings)
-        engines)
-    storages
+        (fun indexing -> equal reference (eval ~engine ~indexing))
+        indexings)
+    engines
 
 let prop_engine_matrix_inflationary =
   QCheck.Test.make
-    ~name:"all storage x engine x indexing modes agree (inflationary fixpoint)"
+    ~name:"all engine x indexing modes agree (inflationary fixpoint)"
     ~count:60 arb_case (fun (p, db) ->
       let reference = Evallib.Inflationary.eval p db in
       all_modes_agree
-        (fun ~storage ~engine ~indexing ->
-          Evallib.Inflationary.eval ~storage ~engine ~indexing p db)
+        (fun ~engine ~indexing ->
+          Evallib.Inflationary.eval ~engine ~indexing p db)
         Idb.equal reference)
 
 let prop_engine_matrix_positive =
-  QCheck.Test.make
-    ~name:"all storage x engine x indexing modes agree (positive lfp)"
+  QCheck.Test.make ~name:"all engine x indexing modes agree (positive lfp)"
     ~count:60 arb_case (fun (p, db) ->
       let p = positivise p in
       let reference = Evallib.Naive.least_fixpoint p db in
       all_modes_agree
-        (fun ~storage ~engine ~indexing ->
-          Evallib.Naive.least_fixpoint ~storage ~engine ~indexing p db)
+        (fun ~engine ~indexing ->
+          Evallib.Naive.least_fixpoint ~engine ~indexing p db)
         Idb.equal reference)
 
 let prop_engine_matrix_semantics =
   QCheck.Test.make
-    ~name:
-      "all storage x engine x indexing modes agree (stratified + well-founded)"
+    ~name:"all engine x indexing modes agree (stratified + well-founded)"
     ~count:40 arb_case (fun (p, db) ->
       QCheck.assume (Datalog.Stratify.is_stratified p);
       let strat_ref = Evallib.Stratified.eval_exn p db in
@@ -97,22 +95,22 @@ let prop_engine_matrix_semantics =
       in
       let wf_ref = Evallib.Wellfounded.eval p db in
       all_modes_agree
-        (fun ~storage ~engine ~indexing ->
-          Evallib.Stratified.eval_exn ~storage ~engine ~indexing p db)
+        (fun ~engine ~indexing ->
+          Evallib.Stratified.eval_exn ~engine ~indexing p db)
         Idb.equal strat_ref
       && all_modes_agree
-           (fun ~storage ~engine ~indexing ->
-             Evallib.Wellfounded.eval ~storage ~engine ~indexing p db)
+           (fun ~engine ~indexing ->
+             Evallib.Wellfounded.eval ~engine ~indexing p db)
            wf_equal wf_ref)
 
 (* The morsel grain is pure scheduling: whatever the shard size (one tuple,
    a prime that straddles shard boundaries, the auto heuristic) or the
    rule-level fallback, the [`Parallel] engine must compute the reference
-   model — across planners and storage backends, and for every semantics
-   built on saturation. *)
+   model — across planners, and for every semantics built on
+   saturation. *)
 let grains : Evallib.Engine.grain list = [ `Fixed 1; `Fixed 7; `Auto; `Rules ]
 
-let planners : Evallib.Engine.planner list = [ `Static; `Greedy; `Scan ]
+let planners : Evallib.Engine.planner list = [ `Static; `Scan; `Adaptive ]
 
 (* One pool shared across all iterations: spawning domains per case would
    dominate the property's runtime. *)
@@ -120,19 +118,14 @@ let shared_pool = lazy (Negdl_util.Domain_pool.create ~size:2 ())
 
 let prop_grain_matrix =
   QCheck.Test.make
-    ~name:"parallel engine agrees across grain x planner x storage (all \
-           semantics)"
+    ~name:"parallel engine agrees across grain x planner (all semantics)"
     ~count:30 arb_case (fun (p, db) ->
       let pool = Lazy.force shared_pool in
       let agree eval equal reference =
         List.for_all
           (fun grain ->
             List.for_all
-              (fun planner ->
-                List.for_all
-                  (fun storage ->
-                    equal reference (eval ~grain ~planner ~storage))
-                  storages)
+              (fun planner -> equal reference (eval ~grain ~planner))
               planners)
           grains
       in
@@ -140,14 +133,14 @@ let prop_grain_matrix =
       let pos = positivise p in
       let lfp_ref = Evallib.Naive.least_fixpoint pos db in
       agree
-        (fun ~grain ~planner ~storage ->
-          Evallib.Inflationary.eval ~engine:`Parallel ~pool ~grain ~planner
-            ~storage p db)
+        (fun ~grain ~planner ->
+          Evallib.Inflationary.eval ~engine:`Parallel ~pool ~grain ~planner p
+            db)
         Idb.equal infl_ref
       && agree
-           (fun ~grain ~planner ~storage ->
+           (fun ~grain ~planner ->
              Evallib.Naive.least_fixpoint ~engine:`Parallel ~pool ~grain
-               ~planner ~storage pos db)
+               ~planner pos db)
            Idb.equal lfp_ref
       &&
       if not (Datalog.Stratify.is_stratified p) then true
@@ -161,42 +154,60 @@ let prop_grain_matrix =
                b.Evallib.Wellfounded.possible
         in
         agree
-          (fun ~grain ~planner ~storage ->
+          (fun ~grain ~planner ->
             Evallib.Stratified.eval_exn ~engine:`Parallel ~pool ~grain
-              ~planner ~storage p db)
+              ~planner p db)
           Idb.equal strat_ref
         && agree
-             (fun ~grain ~planner ~storage ->
+             (fun ~grain ~planner ->
                Evallib.Wellfounded.eval ~engine:`Parallel ~pool ~grain
-                 ~planner ~storage p db)
+                 ~planner p db)
              wf_equal wf_ref)
 
-(* The partitioned packed store must be observationally identical to the
-   seed's single-table semantics: a Treeset/Seminaive reference model is
-   compared against the Hashed (partitioned) backend under both the
-   sequential and the parallel engine, at the auto and per-rule grains. *)
-let prop_partitioned_store_oracle =
+(* The partitioned packed store, under the sequential and the parallel
+   engine at the auto and per-rule grains, must compute the stratified
+   model of the naive reference evaluator — which shares no code with the
+   store, the planner or the engines — and agree with it on which programs
+   are stratifiable. *)
+let stratified_agrees p db result =
+  match (Reference.stratified p db, result) with
+  | None, Error _ -> true
+  | Some want, Ok got -> Reference.Atoms.equal want (atoms got)
+  | _ -> false
+
+let prop_partitioned_store_reference =
   QCheck.Test.make
-    ~name:"partitioned hashed store matches single-table treeset semantics"
+    ~name:"partitioned hashed store matches the reference evaluator"
     ~count:40 arb_case (fun (p, db) ->
-      if not (Datalog.Stratify.is_stratified p) then true
-      else
-        let pool = Lazy.force shared_pool in
-        let reference =
-          Evallib.Stratified.eval_exn ~engine:`Seminaive ~storage:`Treeset p
-            db
-        in
-        List.for_all
-          (fun storage ->
-            Idb.equal reference
-              (Evallib.Stratified.eval_exn ~engine:`Seminaive ~storage p db)
-            && List.for_all
-                 (fun grain ->
-                   Idb.equal reference
-                     (Evallib.Stratified.eval_exn ~engine:`Parallel ~pool
-                        ~grain ~storage p db))
-                 [ `Auto; `Rules ])
-          [ `Hashed; `Treeset ])
+      let pool = Lazy.force shared_pool in
+      stratified_agrees p db (Evallib.Stratified.eval ~engine:`Seminaive p db)
+      && List.for_all
+           (fun grain ->
+             stratified_agrees p db
+               (Evallib.Stratified.eval ~engine:`Parallel ~pool ~grain p db))
+           [ `Auto; `Rules ])
+
+(* The default configuration against the reference evaluator, one property
+   per semantics. *)
+let prop_reference_stratified =
+  QCheck.Test.make ~name:"stratified model = reference evaluator" ~count:150
+    arb_case (fun (p, db) ->
+      stratified_agrees p db (Evallib.Stratified.eval p db))
+
+let prop_reference_inflationary =
+  QCheck.Test.make ~name:"inflationary model = reference evaluator" ~count:150
+    arb_case (fun (p, db) ->
+      Reference.Atoms.equal (Reference.inflationary p db)
+        (atoms (Evallib.Inflationary.eval p db)))
+
+let prop_reference_well_founded =
+  QCheck.Test.make ~name:"well-founded model = reference evaluator" ~count:150
+    arb_case (fun (p, db) ->
+      let want_true, want_possible = Reference.well_founded p db in
+      let m = Evallib.Wellfounded.eval p db in
+      Reference.Atoms.equal want_true (atoms m.Evallib.Wellfounded.true_facts)
+      && Reference.Atoms.equal want_possible
+           (atoms m.Evallib.Wellfounded.possible))
 
 let prop_limit_is_inflationary_fixpoint =
   QCheck.Test.make ~name:"Theta(limit) is contained in the limit" ~count:150
@@ -344,7 +355,7 @@ let prop_indexed_equals_scan =
    group.  Because the generator's guards match the limit kind's polarity
    (min with <=, max with >=), the strata above the limit predicate are
    insensitive to the dominant filter, so the whole models must coincide —
-   across storage backends, engines, and static/adaptive planners. *)
+   across engines and static/adaptive planners. *)
 let prop_limit_differential =
   QCheck.Test.make ~name:"limit tightening = dominant filter of pair model"
     ~count:60 Testsupport.Gen_programs.arb_limit_case
@@ -362,17 +373,13 @@ let prop_limit_differential =
           pairs limit_p.Ast.limits
       in
       List.for_all
-        (fun storage ->
+        (fun engine ->
           List.for_all
-            (fun engine ->
-              List.for_all
-                (fun planner ->
-                  Idb.equal reference
-                    (Evallib.Stratified.eval_exn ~storage ~engine ~planner
-                       limit_p db))
-                [ `Static; `Adaptive ])
-            [ `Seminaive; `Parallel ])
-        storages)
+            (fun planner ->
+              Idb.equal reference
+                (Evallib.Stratified.eval_exn ~engine ~planner limit_p db))
+            [ `Static; `Adaptive ])
+        [ `Seminaive; `Parallel ])
 
 let prop_pretty_roundtrip =
   QCheck.Test.make ~name:"pretty-printed programs re-parse identically"
@@ -390,7 +397,7 @@ let () =
             prop_engine_matrix_positive;
             prop_engine_matrix_semantics;
             prop_grain_matrix;
-            prop_partitioned_store_oracle;
+            prop_partitioned_store_reference;
             prop_limit_is_inflationary_fixpoint;
             prop_deltas_partition;
             prop_ground_tracks_theta;
@@ -407,5 +414,8 @@ let () =
             prop_indexed_equals_scan;
             prop_limit_differential;
             prop_pretty_roundtrip;
+            prop_reference_stratified;
+            prop_reference_inflationary;
+            prop_reference_well_founded;
           ] );
     ]
