@@ -7,15 +7,16 @@
    micro-benchmarks — one Test.make per experiment family plus the ablation
    comparisons (naive vs semi-naive, brute-force vs SAT search).
 
-   Part 3 ("eval") benchmarks the evaluation engine itself — cached vs
-   per-call vs no indexing, and the parallel engine vs sequential — and
-   writes the measurements to BENCH_eval.json in the current directory.
+   Part 3 ("eval") benchmarks the evaluation engine itself — semi-naive
+   closures on a dense and on a long-diameter graph, and the parallel
+   engine vs sequential — and writes the measurements to BENCH_eval.json
+   in the current directory.
 
-   Part 4 ("storage") is the relation-store benchmark: cached vs per-call
-   indexing on an iteration-heavy transitive closure over the packed
-   store, plus the E1 cycle census, with the E1-E8 parity fingerprint and
-   the census count checked against pinned values.  Writes
-   BENCH_relalg.json and exits nonzero if any count diverges.
+   Part 4 ("storage") is the relation-store benchmark: an iteration-heavy
+   transitive closure over the packed store, plus the E1 cycle census,
+   with the closure size, the E1-E8 parity fingerprint and the census
+   count checked against pinned values.  Writes BENCH_relalg.json and
+   exits nonzero if any count diverges.
 
    Part 5 ("satpar") is the parallel-search benchmark: the portfolio CDCL
    racer vs the sequential solver on a band of hard random 3-CNF, and the
@@ -610,28 +611,22 @@ let micro_tests () =
           (stage (fun () -> Theta.apply pi1 c8 (Idb.of_program pi1)));
         Test.make ~name:"ground_apply_pi1_c8"
           (stage (fun () -> Ground.apply pi1_c8_ground (Idb.of_program pi1)));
-      ]
-  in
-  let indexing_group =
-    (* Ablation: one full application of the TC rules against a saturated
-       IDB, with and without the per-call hash indexes. *)
-    let g = Generate.random ~seed:65 ~n:40 ~p:0.1 in
-    let db = db_of g in
-    let full = Inflationary.eval tc_program db in
-    let resolver = Engine.uniform (Engine.layered db full) in
-    let schema =
-      match Ast.idb_schema tc_program with Ok s -> s | Error e -> failwith e
-    in
-    let universe = Database.universe db in
-    let apply indexing () =
-      Engine.eval_rules ~indexing ~universe ~resolver ~schema
-        tc_program.Ast.rules
-    in
-    Test.make_grouped ~name:"ablation_indexing"
-      [
-        Test.make ~name:"theta_tc_n40_cached" (stage (apply `Cached));
-        Test.make ~name:"theta_tc_n40_percall" (stage (apply `Percall));
-        Test.make ~name:"theta_tc_n40_scan" (stage (apply `Scan));
+        (* One full application of the TC rules against a saturated IDB:
+           the join probes the relations' memoized column indexes. *)
+        Test.make ~name:"theta_tc_n40"
+          (let db = db_of (Generate.random ~seed:65 ~n:40 ~p:0.1) in
+           let resolver =
+             Engine.uniform (Engine.layered db (Inflationary.eval tc_program db))
+           in
+           let schema =
+             match Ast.idb_schema tc_program with
+             | Ok s -> s
+             | Error e -> failwith e
+           in
+           let universe = Database.universe db in
+           stage (fun () ->
+               Engine.eval_rules ~universe ~resolver ~schema
+                 tc_program.Ast.rules));
       ]
   in
   let magic_group =
@@ -662,7 +657,6 @@ let micro_tests () =
       fixpoint_group;
       sat_group;
       theta_group;
-      indexing_group;
       magic_group;
       stable_group;
     ]
@@ -749,45 +743,33 @@ let eval_bench () =
     results := (name, runs, seconds) :: !results;
     Format.printf "  %-36s %10.2f ms@." name (seconds *. 1e3)
   in
-  (* Indexing ablation 1: semi-naive TC on a dense 200-node random digraph
-     (np = 4).  Few iterations, large deltas: the join output dominates, so
-     all index strategies that avoid full scans are close. *)
+  (* Semi-naive TC on a dense 200-node random digraph (np = 4).  Few
+     iterations, large deltas: the join output dominates. *)
   let tc_db = db_of (Generate.random ~seed:79 ~n:200 ~p:0.02) in
-  let tc indexing () =
-    Inflationary.eval ~engine:`Seminaive ~indexing tc_program tc_db
+  let _, t_dense =
+    best_of 5 (fun () ->
+        Inflationary.eval ~engine:`Seminaive tc_program tc_db)
   in
-  let r_cached, t_cached = best_of 5 (tc `Cached) in
-  record "tc200_dense_seminaive_cached" ~runs:5 t_cached;
-  let r_percall, t_percall = best_of 5 (tc `Percall) in
-  record "tc200_dense_seminaive_percall" ~runs:5 t_percall;
-  let r_scan, t_scan = best_of 2 (tc `Scan) in
-  record "tc200_dense_seminaive_scan" ~runs:2 t_scan;
-  let indexing_agree = Idb.equal r_cached r_percall && Idb.equal r_cached r_scan in
-  (* Indexing ablation 2: semi-naive TC on a long-diameter graph with a
-     large stable edge relation — an 80-vertex path (80 iterations) plus
-     700 disjoint extra edges that fatten [e] without deepening the
-     closure.  Here the per-application cost of rebuilding the edge index
-     dominates the join work, which is exactly what the cached persistent
-     index eliminates: it is built once and reused by all ~80 iterations.
-     (On the dense digraph above the join output dominates instead, so
-     cached and per-call indexing tie there.) *)
+  record "tc200_dense_seminaive" ~runs:5 t_dense;
+  (* Semi-naive TC on a long-diameter graph with a large stable edge
+     relation — an 80-vertex path (80 iterations) plus 700 disjoint extra
+     edges that fatten [e] without deepening the closure.  The edge
+     relation's memoized column index is built once and reused by all ~80
+     iterations. *)
   let sparse_db =
     db_of
       (Digraph.disjoint_union (Generate.path 80)
          (Generate.disjoint_copies 700 (Generate.path 2)))
   in
   let sparse_reps = 20 in
-  let tc_sparse indexing () =
-    for _ = 2 to sparse_reps do
-      ignore (Inflationary.eval ~engine:`Seminaive ~indexing tc_program sparse_db)
-    done;
-    Inflationary.eval ~engine:`Seminaive ~indexing tc_program sparse_db
+  let _, t_sparse =
+    best_of 3 (fun () ->
+        for _ = 2 to sparse_reps do
+          ignore (Inflationary.eval ~engine:`Seminaive tc_program sparse_db)
+        done;
+        Inflationary.eval ~engine:`Seminaive tc_program sparse_db)
   in
-  let rs_cached, ts_cached = best_of 3 (tc_sparse `Cached) in
-  record "tc_path80_wide_cached" ~runs:3 (ts_cached /. float_of_int sparse_reps);
-  let rs_percall, ts_percall = best_of 3 (tc_sparse `Percall) in
-  record "tc_path80_wide_percall" ~runs:3 (ts_percall /. float_of_int sparse_reps);
-  let sparse_agree = Idb.equal rs_cached rs_percall in
+  record "tc_path80_wide" ~runs:3 (t_sparse /. float_of_int sparse_reps);
   (* Parallel fan-out: 4 disjoint transitive closures, 8 independent rules. *)
   let par_program, par_db = disjoint_tc_workload ~copies:4 ~n:140 ~p:0.028 in
   let fan engine () = Inflationary.eval ~engine par_program par_db in
@@ -796,18 +778,11 @@ let eval_bench () =
   let r_par, t_par = best_of 5 (fan `Parallel) in
   record "tc4x140_parallel" ~runs:5 t_par;
   let parallel_agree = Idb.equal r_seq r_par in
-  let speedup_idx = t_percall /. t_cached in
-  let speedup_sparse = ts_percall /. ts_cached in
-  let speedup_scan = t_scan /. t_cached in
   let speedup_par = t_seq /. t_par in
-  Format.printf "  cached vs percall (dense):  %.2fx@." speedup_idx;
-  Format.printf "  cached vs percall (path+wide): %.2fx@." speedup_sparse;
-  Format.printf "  cached vs scan (dense):     %.2fx@." speedup_scan;
   Format.printf "  parallel vs seminaive:      %.2fx (%d worker domains)@."
     speedup_par
     (Domain_pool.size (Domain_pool.default ()));
-  Format.printf "  results agree: indexing %s, sparse %s, parallel %s@."
-    (ok indexing_agree) (ok sparse_agree) (ok parallel_agree);
+  Format.printf "  results agree: parallel %s@." (ok parallel_agree);
   let oc = open_out "BENCH_eval.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -823,13 +798,9 @@ let eval_bench () =
     entries;
   out "  ],\n";
   out "  \"speedups\": {\n";
-  out "    \"cached_vs_percall_dense\": %.3f,\n" speedup_idx;
-  out "    \"cached_vs_percall_iterheavy\": %.3f,\n" speedup_sparse;
-  out "    \"cached_vs_scan_dense\": %.3f,\n" speedup_scan;
   out "    \"parallel_vs_seminaive\": %.3f\n" speedup_par;
   out "  },\n";
   out "  \"checks\": {\n";
-  out "    \"indexing_modes_agree\": %b,\n" (indexing_agree && sparse_agree);
   out "    \"parallel_matches_sequential\": %b\n" parallel_agree;
   out "  },\n";
   out "  \"worker_domains\": %d\n" (Domain_pool.size (Domain_pool.default ()));
@@ -837,11 +808,6 @@ let eval_bench () =
   close_out oc
 
 (* --- Part 4: relation-store benchmark (BENCH_relalg.json) ------------------ *)
-
-let indexing_name = function
-  | `Cached -> "cached"
-  | `Percall -> "percall"
-  | `Scan -> "scan"
 
 (* A fingerprint of the E1-E8 experiment drivers: every count the relation
    store, planner or evaluator could corrupt, as (name, integer) pairs.
@@ -965,30 +931,18 @@ let storage_bench ~quick () =
      C_n takes n semi-naive stages and saturates at n^2 tuples, so every
      stage unions a delta into an ever-larger closure and deduplicates
      candidates against it: membership probes and Patricia unions on the
-     packed store, under cached vs per-call column indexes. *)
+     packed store. *)
   let tc_n = if quick then 100 else 140 in
   let best_reps = if quick then 2 else 4 in
-  let matrix =
-    List.map
-      (fun indexing ->
-        let db = db_of (Generate.cycle tc_n) in
-        let r, seconds =
-          best_of best_reps (fun () ->
-              Inflationary.eval ~engine:`Seminaive ~indexing tc_program db)
-        in
-        (indexing, Idb.total_cardinal r, seconds))
-      [ `Cached; `Percall ]
+  let tc_db = db_of (Generate.cycle tc_n) in
+  let tc, t_tc =
+    best_of best_reps (fun () ->
+        Inflationary.eval ~engine:`Seminaive tc_program tc_db)
   in
-  Format.printf "  %-34s %10s %10s@." "tc_iterheavy (indexing)" "ms" "tuples";
-  List.iter
-    (fun (indexing, tuples, seconds) ->
-      Format.printf "  %-34s %10.2f %10d@."
-        ("tc_" ^ indexing_name indexing)
-        (seconds *. 1e3) tuples)
-    matrix;
-  let tc_counts_agree =
-    List.for_all (fun (_, t, _) -> t = tc_n * tc_n) matrix
-  in
+  let tc_tuples = Idb.total_cardinal tc in
+  Format.printf "  %-34s %10s %10s@." "workload" "ms" "tuples";
+  Format.printf "  %-34s %10.2f %10d@." "tc_iterheavy" (t_tc *. 1e3) tc_tuples;
+  let tc_size_ok = tc_tuples = tc_n * tc_n in
   (* Workload 2 — the E1 cycle census at scale: ground pi_1 on the cycle
      C_n, encode Theta(S)=S and count the fixpoints (2 for even cycles).
      Grounding dominates, and its inner loop is one membership probe per
@@ -1006,9 +960,9 @@ let storage_bench ~quick () =
   let divergences = fingerprint_divergences () in
   Format.printf
     "  parity: E1-E8 fingerprints (%d pinned entries) %s, census %s, tc \
-     models %s@."
+     closure size %s@."
     (List.length expected_fingerprint) (ok (divergences = [])) (ok census_ok)
-    (ok tc_counts_agree);
+    (ok tc_size_ok);
   let oc = open_out "BENCH_relalg.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -1016,14 +970,10 @@ let storage_bench ~quick () =
   out "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
   out "  \"grain\": %S,\n" (Engine.grain_to_string (Engine.default_grain ()));
   out "  \"matrix\": [\n";
-  List.iteri
-    (fun i (indexing, tuples, seconds) ->
-      out
-        "    {\"workload\": \"tc_iterheavy\", \"indexing\": %S, \
-         \"ns_per_op\": %.0f, \"tuples\": %d}%s\n"
-        (indexing_name indexing) (seconds *. 1e9) tuples
-        (if i = List.length matrix - 1 then "" else ","))
-    matrix;
+  out
+    "    {\"workload\": \"tc_iterheavy\", \"ns_per_op\": %.0f, \"tuples\": \
+     %d}\n"
+    (t_tc *. 1e9) tc_tuples;
   out "  ],\n";
   out "  \"census\": [\n";
   out
@@ -1034,11 +984,11 @@ let storage_bench ~quick () =
   out "  \"checks\": {\n";
   out "    \"e1_e8_fingerprints_match_pinned\": %b,\n" (divergences = []);
   out "    \"census_count_matches_pinned\": %b,\n" census_ok;
-  out "    \"tc_models_agree\": %b\n" tc_counts_agree;
+  out "    \"tc_closure_size_n2\": %b\n" tc_size_ok;
   out "  }\n";
   out "}\n";
   close_out oc;
-  if not (divergences = [] && census_ok && tc_counts_agree) then begin
+  if not (divergences = [] && census_ok && tc_size_ok) then begin
     Format.printf "  divergence from the pinned counts — failing@.";
     exit 1
   end
@@ -1223,11 +1173,6 @@ let executor_words_per_row () =
   run ();
   let after = Gc.minor_words () in
   (after -. before) /. float_of_int (max 1 !rows)
-
-let with_drift factor f =
-  let saved = Plan.drift_factor () in
-  Plan.set_drift_factor factor;
-  Fun.protect ~finally:(fun () -> Plan.set_drift_factor saved) f
 
 let plan_bench ~quick () =
   Format.printf
@@ -1423,27 +1368,18 @@ let plan_bench ~quick () =
      delta plans were compiled against: the adaptive planner converts the
      blind size-drift recompiles static pays into bounded, informed
      replans (overridden occurrences are exempt from the drift check, so
-     total compiles drop), both at the default tolerance and at the
-     tightest one. *)
-  let adaptive_dense_counters drift =
-    with_drift drift (fun () ->
-        with_planner `Adaptive (fun () ->
-            let stats = Stats.create () in
-            ignore
-              (Inflationary.eval ~engine:`Seminaive ~stats tc_program dense_db);
-            ( stats.Stats.plan.Plan.plan_compiles,
-              stats.Stats.plan.Plan.plan_replans )))
+     total compiles drop). *)
+  let dense_compiles, dense_replans =
+    with_planner `Adaptive (fun () ->
+        let stats = Stats.create () in
+        ignore
+          (Inflationary.eval ~engine:`Seminaive ~stats tc_program dense_db);
+        ( stats.Stats.plan.Plan.plan_compiles,
+          stats.Stats.plan.Plan.plan_replans ))
   in
-  let dense_compiles_default, dense_replans_default =
-    adaptive_dense_counters (Plan.drift_factor ())
-  in
-  let dense_compiles_tight, dense_replans_tight = adaptive_dense_counters 1 in
-  Format.printf
-    "  adaptive on tc_dense: drift %d -> %d compiles %d replans; drift 1 -> \
-     %d compiles %d replans@."
-    (Plan.drift_factor ()) dense_compiles_default dense_replans_default
-    dense_compiles_tight dense_replans_tight;
-  let replans_recorded = dense_replans_default > 0 || dense_replans_tight > 0 in
+  Format.printf "  adaptive on tc_dense (drift %d): %d compiles %d replans@."
+    Plan.drift_factor dense_compiles dense_replans;
+  let replans_recorded = dense_replans > 0 in
   Format.printf "  feedback replans engage on tc_dense %s@."
     (ok replans_recorded);
   (* E1-E8 parity: every experiment count must be planner-invariant. *)
@@ -1496,10 +1432,8 @@ let plan_bench ~quick () =
   out "    \"static_cache_hits\": %d\n" static_hits;
   out "  },\n";
   out "  \"adaptive\": {\n";
-  out "    \"tc_dense_compiles_default_drift\": %d,\n" dense_compiles_default;
-  out "    \"tc_dense_replans_default_drift\": %d,\n" dense_replans_default;
-  out "    \"tc_dense_compiles_drift1\": %d,\n" dense_compiles_tight;
-  out "    \"tc_dense_replans_drift1\": %d,\n" dense_replans_tight;
+  out "    \"tc_dense_compiles\": %d,\n" dense_compiles;
+  out "    \"tc_dense_replans\": %d,\n" dense_replans;
   List.iteri
     (fun i (wname, margin) ->
       out "    \"margin_vs_best_%s\": %.3f%s\n" wname margin

@@ -85,19 +85,6 @@ let engine_arg =
            $(b,parallel) (semi-naive with rule applications fanned across \
            domains).")
 
-let indexing_arg =
-  let indexing_conv =
-    Arg.enum [ ("cached", `Cached); ("percall", `Percall); ("scan", `Scan) ]
-  in
-  Arg.(
-    value
-    & opt indexing_conv `Cached
-    & info [ "indexing" ] ~docv:"MODE"
-        ~doc:
-          "Join indexing: $(b,cached) (default, persistent per-relation \
-           column indexes maintained incrementally), $(b,percall) (rebuilt \
-           for every rule application), or $(b,scan) (no indexes).")
-
 let planner_arg =
   let planner_conv =
     let parse s =
@@ -119,23 +106,6 @@ let planner_arg =
            estimates trigger a bounded recompile with the observed values \
            substituted), or $(b,scan) (textual literal order, no index \
            probes).")
-
-let plan_drift_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "plan-drift" ] ~docv:"FACTOR"
-        ~doc:
-          "Cardinality drift tolerance shared by the static replanning \
-           check and the adaptive planner's feedback loop: a cached plan \
-           is recompiled when a relation size (static) or an observed \
-           per-step cardinality (adaptive) diverges from what its cost \
-           model saw by more than $(docv)x plus a small slack.  Default \
-           4; values below 1 are clamped.")
-
-let apply_plan_drift = function
-  | Some f -> Negdl.Plan.set_drift_factor f
-  | None -> ()
 
 let explain_arg =
   Arg.(
@@ -254,11 +224,10 @@ let eval_cmd =
              $(docv).  A corrupt or version-skewed file is a hard error \
              (fail closed), a merely stale one is re-evaluated.")
   in
-  let run program_path db_path semantics engine planner plan_drift explain
-      indexing stats sat_par grain pred snapshot_file =
+  let run program_path db_path semantics engine planner explain stats sat_par
+      grain pred snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
     Negdl.Engine.set_default_grain grain;
-    apply_plan_drift plan_drift;
     let program = or_die (load_program program_path) in
     let db = or_die (load_database db_path) in
     let stats = if stats then Some (Negdl.Stats.create ()) else None in
@@ -269,8 +238,7 @@ let eval_cmd =
     let evaluate_and_save () =
       let result =
         or_die
-          (Negdl.run ~engine ~planner ?plan_cache ~indexing ?stats
-             semantics program db)
+          (Negdl.run ~engine ~planner ?plan_cache ?stats semantics program db)
       in
       (match snapshot_file with
       | None -> ()
@@ -346,8 +314,8 @@ let eval_cmd =
     (Cmd.info "eval" ~doc)
     Term.(
       const run $ program_arg $ database_arg $ semantics_arg $ engine_arg
-      $ planner_arg $ plan_drift_arg $ explain_arg $ indexing_arg
-      $ stats_arg $ sat_par_arg $ parallel_grain_arg $ pred_arg $ snapshot_arg)
+      $ planner_arg $ explain_arg $ stats_arg $ sat_par_arg $ parallel_grain_arg
+      $ pred_arg $ snapshot_arg)
 
 (* --- fixpoints ---------------------------------------------------------------- *)
 
@@ -396,11 +364,10 @@ let fixpoints_cmd =
              EDB is trusted (checksummed, but not compared against the \
              text file) — delete $(docv) after editing $(i,DATABASE).")
   in
-  let run program_path db_path planner plan_drift explain limit enumerate
-      sat_par grain sat_budget count_budget stats snapshot_file =
+  let run program_path db_path planner explain limit enumerate sat_par grain
+      sat_budget count_budget stats snapshot_file =
     Negdl.Sat_solver.set_default_parallelism sat_par;
     Negdl.Engine.set_default_grain grain;
-    apply_plan_drift plan_drift;
     Negdl.Sat_stats.reset ();
     let program = or_die (load_program program_path) in
     let load_and_save () =
@@ -488,8 +455,8 @@ let fixpoints_cmd =
   Cmd.v
     (Cmd.info "fixpoints" ~doc)
     Term.(
-      const run $ program_arg $ database_arg $ planner_arg $ plan_drift_arg
-      $ explain_arg $ limit_arg $ enumerate_arg $ sat_par_arg
+      const run $ program_arg $ database_arg $ planner_arg $ explain_arg
+      $ limit_arg $ enumerate_arg $ sat_par_arg
       $ parallel_grain_arg $ sat_budget_arg $ count_budget_arg $ stats_arg
       $ snapshot_arg)
 
@@ -518,8 +485,7 @@ let explain_cmd =
              recorded overrides, generation, and whether the adaptive \
              planner would replan it.  Requires a $(i,DATABASE).")
   in
-  let run program_path db_path planner plan_drift feedback =
-    apply_plan_drift plan_drift;
+  let run program_path db_path planner feedback =
     let program = or_die (load_program program_path) in
     let db = Option.map (fun p -> or_die (load_database p)) db_path in
     if feedback then begin
@@ -606,8 +572,7 @@ let explain_cmd =
   Cmd.v
     (Cmd.info "explain" ~doc ~man)
     Term.(
-      const run $ program_arg $ database_opt_arg $ planner_arg
-      $ plan_drift_arg $ feedback_arg)
+      const run $ program_arg $ database_opt_arg $ planner_arg $ feedback_arg)
 
 (* --- query ------------------------------------------------------------------- *)
 
@@ -642,6 +607,11 @@ let query_cmd =
     Term.(const run $ program_arg $ database_arg $ goal_arg $ engine_arg)
 
 (* --- serve ------------------------------------------------------------------ *)
+
+(* The longest request line a serve session accepts.  A longer line is
+   answered with [error: line too long] and skipped up to its newline, so a
+   client that never sends one cannot grow the server's memory. *)
+let max_line = 1 lsl 20
 
 let serve_cmd =
   let socket_arg =
@@ -685,8 +655,8 @@ let serve_cmd =
            "--socket %s: exists and is not a socket; refusing to replace it"
            path)
   in
-  let run program_path db_path engine planner plan_drift indexing stats grain
-      socket snapshot_file =
+  let run program_path db_path engine planner stats grain socket
+      snapshot_file =
     Option.iter (fun path -> or_die (clear_socket_path path)) socket;
     (* A client that stops reading must end only its own session: with
        SIGPIPE ignored, writing to it raises [Sys_error] (EPIPE) instead of
@@ -694,14 +664,13 @@ let serve_cmd =
     (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
      with Invalid_argument _ -> ());
     Negdl.Engine.set_default_grain grain;
-    apply_plan_drift plan_drift;
     let program = or_die (load_program program_path) in
     let stats_rec = Negdl.Stats.create () in
     let cold_start () =
       let db = or_die (load_database db_path) in
       let state =
         or_die
-          (Negdl.Serve.create ~engine ~planner ~indexing ~grain
+          (Negdl.Serve.create ~engine ~planner ~grain
              ~stats:stats_rec program db)
       in
       (match snapshot_file with
@@ -717,7 +686,7 @@ let serve_cmd =
       | Some file when Sys.file_exists file ->
         let image = snap_die (Negdl.Snapshot.read_file file) in
         or_die
-          (Negdl.Serve.create_restored ~engine ~planner ~indexing ~grain
+          (Negdl.Serve.create_restored ~engine ~planner ~grain
              ~stats:stats_rec program image)
       | _ -> cold_start ()
     in
@@ -729,30 +698,65 @@ let serve_cmd =
        single DRed update; interactively each line arrives alone and
        behaves exactly like {!Serve.handle_line}. *)
     let session fd oc =
-      let pending = Buffer.create 256 in
+      (* [partial] holds the current unterminated line, [queued] the input
+         not yet processed (newest first): complete lines, and [`Too_long]
+         where a line over {!max_line} bytes was cut — its remaining bytes
+         up to the newline are skipped, never stored. *)
+      let partial = Buffer.create 256 in
+      let queued = ref [] in
+      let queued_bytes = ref 0 in
+      let skipping = ref false in
       let chunk = Bytes.create 65536 in
-      let rec drain () =
-        match Unix.select [ fd ] [] [] 0.0 with
-        | [ _ ], _, _ ->
-          let n = Unix.read fd chunk 0 (Bytes.length chunk) in
-          if n > 0 then begin
-            Buffer.add_subbytes pending chunk 0 n;
-            drain ()
-          end
-        | _ -> ()
+      let enqueue item bytes =
+        queued := item :: !queued;
+        queued_bytes := !queued_bytes + bytes
       in
-      (* Complete lines out of [pending]; a trailing partial line stays. *)
-      let take_lines () =
-        let data = Buffer.contents pending in
-        Buffer.clear pending;
-        match String.rindex_opt data '\n' with
-        | None ->
-          Buffer.add_string pending data;
-          []
-        | Some i ->
-          Buffer.add_substring pending data (i + 1)
-            (String.length data - i - 1);
-          String.split_on_char '\n' (String.sub data 0 i)
+      let feed n =
+        let rec newline i =
+          if i >= n || Bytes.get chunk i = '\n' then i else newline (i + 1)
+        in
+        let rec go pos =
+          if pos < n then begin
+            let nl = newline pos in
+            if not !skipping then begin
+              Buffer.add_subbytes partial chunk pos (nl - pos);
+              if Buffer.length partial > max_line then begin
+                Buffer.reset partial;
+                enqueue `Too_long max_line;
+                skipping := true
+              end
+            end;
+            if nl < n then begin
+              if !skipping then skipping := false
+              else begin
+                let line = Buffer.contents partial in
+                Buffer.clear partial;
+                enqueue (`Line line) (String.length line)
+              end;
+              go (nl + 1)
+            end
+          end
+        in
+        go 0
+      in
+      let take () =
+        let items = List.rev !queued in
+        queued := [];
+        queued_bytes := 0;
+        items
+      in
+      (* Reads whatever else is already available, up to the cap's worth
+         of queued input. *)
+      let rec drain () =
+        if !queued_bytes < max_line then
+          match Unix.select [ fd ] [] [] 0.0 with
+          | [ _ ], _, _ ->
+            let n = Unix.read fd chunk 0 (Bytes.length chunk) in
+            if n > 0 then begin
+              feed n;
+              drain ()
+            end
+          | _ -> ()
       in
       let emit st response =
         match st with
@@ -773,14 +777,31 @@ let serve_cmd =
             output_string oc "bye\n";
             `Shutdown)
       in
-      let process lines =
-        match lines with
+      (* Consecutive lines go to {!Serve.handle_batch} together; a cut
+         line answers with an error in its place. *)
+      let process items =
+        let run_batch st = function
+          | [] -> st
+          | rev_lines ->
+            if st <> `Continue then st
+            else
+              List.fold_left emit st
+                (Negdl.Serve.handle_batch state (List.rev rev_lines))
+        in
+        match items with
         | [] -> `Continue
         | _ ->
-          let st =
-            List.fold_left emit `Continue
-              (Negdl.Serve.handle_batch state lines)
+          let st, rev_lines =
+            List.fold_left
+              (fun (st, rev_lines) -> function
+                | `Line l -> (st, l :: rev_lines)
+                | `Too_long ->
+                  ( emit (run_batch st rev_lines)
+                      (Negdl.Serve.Reply [ "error: line too long" ]),
+                    [] ))
+              (`Continue, []) items
           in
+          let st = run_batch st rev_lines in
           flush oc;
           st
       in
@@ -789,18 +810,16 @@ let serve_cmd =
         | exception Unix.Unix_error _ -> `Eof
         | 0 -> (
           (* EOF: an unterminated final line is still a command. *)
-          let tail = Buffer.contents pending in
-          Buffer.clear pending;
-          if tail = "" then `Eof
-          else
-            match process [ tail ] with
-            | `Continue -> `Eof
-            | `Quit -> `Quit
-            | `Shutdown -> `Shutdown)
+          if (not !skipping) && Buffer.length partial > 0 then
+            enqueue (`Line (Buffer.contents partial)) 0;
+          match process (take ()) with
+          | `Continue -> `Eof
+          | `Quit -> `Quit
+          | `Shutdown -> `Shutdown)
         | n -> (
-          Buffer.add_subbytes pending chunk 0 n;
+          feed n;
           drain ();
-          match process (take_lines ()) with
+          match process (take ()) with
           | `Continue -> loop ()
           | `Quit -> `Quit
           | `Shutdown -> `Shutdown)
@@ -858,8 +877,7 @@ let serve_cmd =
     (Cmd.info "serve" ~doc ~man)
     Term.(
       const run $ program_arg $ database_arg $ engine_arg $ planner_arg
-      $ plan_drift_arg $ indexing_arg $ stats_arg $ parallel_grain_arg
-      $ socket_arg $ snapshot_arg)
+      $ stats_arg $ parallel_grain_arg $ socket_arg $ snapshot_arg)
 
 (* --- snapshot / restore ----------------------------------------------------- *)
 

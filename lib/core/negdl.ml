@@ -119,8 +119,7 @@ let reject_limits who (program : Ast.program) =
          l.limit_pred
          (Ast.limit_kind_to_string l.kind))
 
-let run ?engine ?planner ?plan_cache ?indexing ?stats semantics
-    program db =
+let run ?engine ?planner ?plan_cache ?indexing:_ ?stats semantics program db =
   let cache = plan_cache in
   try
     (match semantics with
@@ -131,29 +130,25 @@ let run ?engine ?planner ?plan_cache ?indexing ?stats semantics
       Ok
         {
           facts =
-            Inflationary.eval ?engine ?planner ?cache ?indexing
-              ?stats program db;
+            Inflationary.eval ?engine ?planner ?cache ?stats program db;
           unknown = None;
         }
     | Semantics_least_fixpoint ->
       Ok
         {
           facts =
-            Naive.least_fixpoint ?engine ?planner ?cache ?indexing
-              ?stats program db;
+            Naive.least_fixpoint ?engine ?planner ?cache ?stats program db;
           unknown = None;
         }
     | Semantics_stratified -> (
       match
-        Stratified.eval ?engine ?planner ?cache ?indexing ?stats
-          program db
+        Stratified.eval ?engine ?planner ?cache ?stats program db
       with
       | Ok facts -> Ok { facts; unknown = None }
       | Error e -> Error (Stratified.error_to_string e))
     | Semantics_well_founded ->
       let model =
-        Wellfounded.eval ?engine ?planner ?cache ?indexing ?stats
-          program db
+        Wellfounded.eval ?engine ?planner ?cache ?stats program db
       in
       let unknown = Wellfounded.unknown model in
       Ok

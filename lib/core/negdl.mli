@@ -176,9 +176,9 @@ val run :
     tighten-union fixpoint); every other semantics returns an error for
     them.  [engine] selects the saturation
     strategy ([`Seminaive] default, [`Naive], or [`Parallel] which fans the
-    rule applications of each iteration across domains); [indexing] selects
-    the column-index strategy (see {!Engine.indexing}); [planner] selects
-    the join-order planning policy ({!Plan.planner}: [`Static]
+    rule applications of each iteration across domains); [indexing] is
+    ignored (see {!Engine.indexing}); [planner] selects the join-order
+    planning policy ({!Plan.planner}: [`Static]
     compile-once plans by default, [`Scan] textual order, [`Adaptive]
     feedback-driven replanning);
     [plan_cache], when given, retains the compiled plans — the CLI's

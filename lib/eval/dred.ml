@@ -28,13 +28,12 @@ type delta = {
 type opts = {
   planner : Engine.planner option;
   cache : Planlib.Cache.t;
-  indexing : Engine.indexing;
   stats : Stats.t option;
 }
 
 let eval_rule opts ~variant ~universe ~resolver rule =
   Engine.eval_rule ?planner:opts.planner ~cache:opts.cache ~variant
-    ~indexing:opts.indexing ?stats:opts.stats ~universe ~resolver rule
+    ?stats:opts.stats ~universe ~resolver rule
 
 (* The delta-scoped work counters ride on [Stats.extra]: the bench's
    no-full-re-ground check asserts that per batch only these grow (plus
@@ -192,7 +191,7 @@ let extend_deltas m idb =
           m)
     m (Idb.bindings idb)
 
-let apply ?engine ?planner ?cache ?indexing ?stats ?pool ?grain
+let apply ?engine ?planner ?cache ?stats ?pool ?grain
     ?(who = "Dred.apply") p db ~current ~additions ~removals () =
   (* --- validation (string sets, not List.mem: O(batch log program)) --- *)
   let idb_preds = SSet.of_list (Ast.idb_predicates p) in
@@ -273,10 +272,7 @@ let apply ?engine ?planner ?cache ?indexing ?stats ?pool ?grain
   let new_u = Database.universe new_db in
   let universe_grew = List.length new_u > List.length old_u in
   let cache = match cache with Some c -> c | None -> Planlib.Cache.create () in
-  let opts =
-    { planner; cache; indexing = Option.value indexing ~default:`Cached;
-      stats }
-  in
+  let opts = { planner; cache; stats } in
   let full_schema = Idb.schema current in
   (* --- stratum-by-stratum maintenance --------------------------------- *)
   (* [del]/[add] carry the per-predicate deltas visible below the stratum
@@ -401,7 +397,7 @@ let apply ?engine ?planner ?cache ?indexing ?stats ?pool ?grain
             else
               let trace =
                 Saturate.run_delta ?engine ?planner:opts.planner
-                  ~cache:opts.cache ~limits ~indexing:opts.indexing
+                  ~cache:opts.cache ~limits
                   ?stats:opts.stats ?pool ?grain ~rules
                   ~schema:schema_s ~universe:new_u ~base:new_base
                   ~neg:`Current ~init ~delta:fresh ()
@@ -446,7 +442,7 @@ let apply ?engine ?planner ?cache ?indexing ?stats ?pool ?grain
         else
           let trace =
             Saturate.run_delta ?engine ?planner:opts.planner ~cache:opts.cache
-              ~limits ~indexing:opts.indexing ?stats:opts.stats ?pool ?grain
+              ~limits ?stats:opts.stats ?pool ?grain
               ~rules ~schema:schema_s
               ~universe:new_u ~base:new_base ~neg:`Current ~init:init3
               ~delta:fresh ()

@@ -12,7 +12,7 @@ type occurrence = Plan.occurrence = {
 
 type resolver = occurrence -> source
 
-type indexing = Plan.indexing
+type indexing = [ `Cached | `Percall | `Scan ]
 
 type planner = Plan.planner
 
@@ -65,7 +65,7 @@ let plan_rule ?planner ?cache ?variant ?label ?(limits = []) ?stats
     | None -> ());
     Plan.compile ?planner ?variant ?label ~limits ~sizes ~universe_size rule
 
-let run_plan ?(indexing = `Cached) ?stats ~universe ~resolver plan =
+let run_plan ?stats ~universe ~resolver plan =
   let counters = Option.map (fun (s : Stats.t) -> s.Stats.plan) stats in
   let arity = Array.length plan.Plan.head_args in
   (* Head tuples stream into a bulk accumulator; the relation (and its lazy
@@ -73,7 +73,7 @@ let run_plan ?(indexing = `Cached) ?stats ~universe ~resolver plan =
   let acc = Relation.builder arity in
   let emitted = ref 0 in
   let allocated = ref 0 in
-  Plan.run ~indexing ?counters ~resolver ~universe plan ~on_row:(fun env ->
+  Plan.run ?counters ~resolver ~universe plan ~on_row:(fun env ->
       incr emitted;
       if Relation.builder_add acc (Plan.head_tuple plan env) then
         incr allocated);
@@ -91,8 +91,7 @@ let run_plan ?(indexing = `Cached) ?stats ~universe ~resolver plan =
    accumulator (and plan-counter shard), so the hot loop stays lock-free;
    the builders are merged in participant order at the barrier, which
    makes the result deterministic whatever the steal schedule did. *)
-let run_plan_sharded ?(indexing = `Cached) ?stats ~pool ~grain
-    ~universe ~resolver plan =
+let run_plan_sharded ?stats ~pool ~grain ~universe ~resolver plan =
   let grain =
     match grain with
     | `Auto -> None
@@ -108,7 +107,7 @@ let run_plan_sharded ?(indexing = `Cached) ?stats ~pool ~grain
     Array.init workers (fun _ -> Option.map (fun _ -> Plan.counters ()) stats)
   in
   let report =
-    Plan.run_sharded ~indexing
+    Plan.run_sharded
       ~counters:(fun p -> shards.(p))
       ~pool ?grain ~resolver ~universe plan
       ~on_row:(fun p env ->
@@ -160,21 +159,18 @@ let run_plan_sharded ?(indexing = `Cached) ?stats ~pool ~grain
   | None -> ());
   built
 
-let eval_rule ?planner ?cache ?variant ?indexing ?stats ~universe
-    ~resolver rule =
+let eval_rule ?planner ?cache ?variant ?stats ~universe ~resolver rule =
   let plan =
     plan_rule ?planner ?cache ?variant ?stats
       ~universe_size:(List.length universe) ~resolver rule
   in
-  run_plan ?indexing ?stats ~universe ~resolver plan
+  run_plan ?stats ~universe ~resolver plan
 
-let eval_rules ?planner ?cache ?indexing ?stats ~universe ~resolver
-    ~schema rules =
+let eval_rules ?planner ?cache ?stats ~universe ~resolver ~schema rules =
   List.fold_left
     (fun acc rule ->
       let derived =
-        eval_rule ?planner ?cache ?indexing ?stats ~universe
-          ~resolver rule
+        eval_rule ?planner ?cache ?stats ~universe ~resolver rule
       in
       let name = rule.Datalog.Ast.head.pred in
       let current =

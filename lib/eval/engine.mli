@@ -13,7 +13,11 @@
     parameterised by where each atom occurrence reads its relation, which
     lets every semantics in this library (simultaneous Theta, semi-naive
     deltas, stratified layers, the alternating fixpoint of the well-founded
-    semantics) reuse one implementation. *)
+    semantics) reuse one implementation.  Joins probe through the
+    relation's own memoized column indexes ({!Relalg.Relation.matching}) —
+    built once per relation value and maintained incrementally as deltas
+    are unioned in, so the hot fixpoint loop never rebuilds an index per
+    rule application. *)
 
 type source = Planlib.Plan.source = {
   find : string -> int -> Relalg.Relation.t;
@@ -29,15 +33,11 @@ type occurrence = Planlib.Plan.occurrence = {
 type resolver = occurrence -> source
 (** Decides, per atom occurrence, which source to read. *)
 
-type indexing = Planlib.Plan.indexing
-(** How joins locate matching tuples:
-    - [`Cached] (default): through the relation's own memoized column
-      indexes ({!Relalg.Relation.matching}) — built once per relation value
-      and maintained incrementally as deltas are unioned in, so the hot
-      fixpoint loop stops paying a per-call re-indexing tax;
-    - [`Percall]: throwaway hash indexes rebuilt on every rule application
-      (the pre-cache behaviour, kept as a benchmark baseline);
-    - [`Scan]: no indexes at all, full scans (ablation). *)
+type indexing = [ `Cached | `Percall | `Scan ]
+(** Residue of the removed join-strategy switch: every join probes the
+    memoized column index, whatever the tag.  Only the ignored [?indexing]
+    of {!Negdl.run} and {!Serve.create} still take it; both go with this
+    type. *)
 
 type planner = Planlib.Plan.planner
 (** Join-order planning policy — see {!Planlib.Plan.planner}.  The default
@@ -85,7 +85,6 @@ val plan_rule :
     aggregation steps — see {!Planlib.Plan.compile}. *)
 
 val run_plan :
-  ?indexing:indexing ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->
@@ -97,7 +96,6 @@ val run_plan :
     accumulator and plan counters. *)
 
 val run_plan_sharded :
-  ?indexing:indexing ->
   ?stats:Stats.t ->
   pool:Negdl_util.Domain_pool.t ->
   grain:grain ->
@@ -120,7 +118,6 @@ val eval_rule :
   ?planner:planner ->
   ?cache:Planlib.Cache.t ->
   ?variant:Planlib.Plan.variant ->
-  ?indexing:indexing ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->
@@ -132,7 +129,6 @@ val eval_rule :
 val eval_rules :
   ?planner:planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:indexing ->
   ?stats:Stats.t ->
   universe:Relalg.Symbol.t list ->
   resolver:resolver ->

@@ -3,18 +3,16 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Inflationary: " ^ msg)
 
-let eval_trace ?engine ?planner ?cache ?indexing ?stats ?pool
-    ?grain p db =
+let eval_trace ?engine ?planner ?cache ?stats ?pool ?grain p db =
   let schema = idb_schema_exn p in
-  Saturate.run ?engine ?planner ?cache ?indexing ?stats ?pool
+  Saturate.run ?engine ?planner ?cache ?stats ?pool
     ?grain ~label:"inflationary" ~rules:p.Datalog.Ast.rules ~schema
     ~universe:(Relalg.Database.universe db)
     ~base:(Engine.database_source db) ~neg:`Current ~init:(Idb.empty schema)
     ()
 
-let eval ?engine ?planner ?cache ?indexing ?stats ?pool ?grain p db =
-  (eval_trace ?engine ?planner ?cache ?indexing ?stats ?pool ?grain
-     p db)
+let eval ?engine ?planner ?cache ?stats ?pool ?grain p db =
+  (eval_trace ?engine ?planner ?cache ?stats ?pool ?grain p db)
     .result
 
 let carrier ?engine p ~carrier db =

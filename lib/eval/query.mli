@@ -21,7 +21,6 @@ val select :
 
 val answer :
   ?engine:Saturate.engine ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->
@@ -33,7 +32,6 @@ val answer :
 
 val answer_exn :
   ?engine:Saturate.engine ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->

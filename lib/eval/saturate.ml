@@ -82,14 +82,12 @@ let rule_tasks ~planner ~cache ~limits ~stats ~universe spec =
    degenerates to sequential execution — each task instead runs morsel-
    sharded {e within} the pool ({!Engine.run_plan_sharded}), unless the
    grain is [`Rules] (the pre-morsel baseline). *)
-let run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema
-    ~universe tasks =
+let run_tasks ~parallel ~pool ~grain ~stats ~schema ~universe tasks =
   let seq t =
-    Engine.run_plan ~indexing ?stats:t.shard ~universe
-      ~resolver:t.resolver t.plan
+    Engine.run_plan ?stats:t.shard ~universe ~resolver:t.resolver t.plan
   in
   let sharded t =
-    Engine.run_plan_sharded ~indexing ?stats:t.shard ~pool ~grain
+    Engine.run_plan_sharded ?stats:t.shard ~pool ~grain
       ~universe ~resolver:t.resolver t.plan
   in
   let results =
@@ -126,18 +124,16 @@ let run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema
     (Idb.empty schema) tasks results
 
 let full_application ~parallel ~pool ~grain ~planner ~cache ~limits
-    ~indexing ~stats ~rules ~schema ~universe ~base ~neg ~current =
+    ~stats ~rules ~schema ~universe ~base ~neg ~current =
   let resolver =
     make_resolver ~schema ~base ~neg ~current ~delta_occ:None ~delta:current
   in
-  run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema
-    ~universe
+  run_tasks ~parallel ~pool ~grain ~stats ~schema ~universe
     (rule_tasks ~planner ~cache ~limits ~stats ~universe
        (List.map (fun r -> (r, Plan.Full, resolver)) rules))
 
 let delta_application ~parallel ~pool ~grain ~planner ~cache ~limits
-    ~indexing ~stats ~rules ~schema ~universe ~base ~neg ~current
-    ~delta =
+    ~stats ~rules ~schema ~universe ~base ~neg ~current ~delta =
   let spec =
     List.concat_map
       (fun rule ->
@@ -150,22 +146,20 @@ let delta_application ~parallel ~pool ~grain ~planner ~cache ~limits
           (delta_positions ~schema rule))
       rules
   in
-  run_tasks ~parallel ~pool ~grain ~indexing ~stats ~schema
-    ~universe
+  run_tasks ~parallel ~pool ~grain ~stats ~schema ~universe
     (rule_tasks ~planner ~cache ~limits ~stats ~universe spec)
 
 (* The semi-naive delta chase shared by [run] (after its full stage 1) and
    [run_delta] (seeded directly): iterate delta applications until no fresh
    tuple appears.  [init] must already contain [delta]. *)
-let seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits ~indexing
+let seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits
     ~stats ~rules ~schema ~universe ~base ~neg ~bump_iteration ~init
     ~delta =
   let rec loop current delta rev_deltas =
     bump_iteration ();
     let derived =
       delta_application ~parallel ~pool ~grain ~planner ~cache ~limits
-        ~indexing ~stats ~rules ~schema ~universe ~base ~neg
-        ~current ~delta
+        ~stats ~rules ~schema ~universe ~base ~neg ~current ~delta
     in
     (* The limit-aware union: candidates for a declared limit relation
        land only when they improve their group's bound, and [fresh] is the
@@ -178,8 +172,7 @@ let seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits ~indexing
   loop init delta []
 
 let apply_once ?(parallel = false) ?pool ?grain ?planner ?cache
-    ?(limits = []) ?(indexing = `Cached) ?stats ~rules ~schema
-    ~universe ~base ~neg ~current () =
+    ?(limits = []) ?stats ~rules ~schema ~universe ~base ~neg ~current () =
   let pool =
     match pool with Some p -> p | None -> Negdl_util.Domain_pool.default ()
   in
@@ -189,12 +182,11 @@ let apply_once ?(parallel = false) ?pool ?grain ?planner ?cache
   let cache =
     match cache with Some c -> c | None -> Planlib.Cache.create ()
   in
-  full_application ~parallel ~pool ~grain ~planner ~cache ~limits ~indexing
+  full_application ~parallel ~pool ~grain ~planner ~cache ~limits
     ~stats ~rules ~schema ~universe ~base ~neg ~current
 
 let run ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
-    ?(indexing = `Cached) ?stats ?pool ?grain ?label ~rules ~schema
-    ~universe ~base ~neg ~init () =
+    ?stats ?pool ?grain ?label ~rules ~schema ~universe ~base ~neg ~init () =
   (match label with
   | Some l -> Stats.timed stats l
   | None -> fun f -> f ())
@@ -221,8 +213,7 @@ let run ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
       bump_iteration ();
       let derived =
         full_application ~parallel:false ~pool ~grain ~planner ~cache
-          ~limits ~indexing ~stats ~rules ~schema ~universe ~base
-          ~neg ~current
+          ~limits ~stats ~rules ~schema ~universe ~base ~neg ~current
       in
       let next, delta = Idb.tighten_union ~limits current derived in
       if Idb.is_empty delta then
@@ -241,21 +232,20 @@ let run ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
     bump_iteration ();
     let derived =
       full_application ~parallel ~pool ~grain ~planner ~cache ~limits
-        ~indexing ~stats ~rules ~schema ~universe ~base ~neg
-        ~current:init
+        ~stats ~rules ~schema ~universe ~base ~neg ~current:init
     in
     let init1, delta1 = Idb.tighten_union ~limits init derived in
     if Idb.is_empty delta1 then { result = init; deltas = [] }
     else
       let t =
         seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits
-          ~indexing ~stats ~rules ~schema ~universe ~base ~neg
+          ~stats ~rules ~schema ~universe ~base ~neg
           ~bump_iteration ~init:init1 ~delta:delta1
       in
       { t with deltas = delta1 :: t.deltas }
 
 let run_delta ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
-    ?(indexing = `Cached) ?stats ?pool ?grain ?label ~rules ~schema
+    ?stats ?pool ?grain ?label ~rules ~schema
     ~universe ~base ~neg ~init ~delta () =
   (match label with
   | Some l -> Stats.timed stats l
@@ -281,7 +271,7 @@ let run_delta ?(engine = `Seminaive) ?planner ?cache ?(limits = [])
        delta-specialized form, so it rides the semi-naive chase too — the
        computed limit is the same. *)
     let parallel = engine = `Parallel in
-    seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits ~indexing
+    seminaive_chase ~parallel ~pool ~grain ~planner ~cache ~limits
       ~stats ~rules ~schema ~universe ~base ~neg ~bump_iteration
       ~init ~delta
   end

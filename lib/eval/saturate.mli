@@ -54,7 +54,6 @@ val run :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->
@@ -67,8 +66,8 @@ val run :
   init:Idb.t ->
   unit ->
   trace
-(** Default engine: [`Seminaive]; default indexing: [`Cached]; default
-    planner: {!Planlib.Plan.default_planner}.  Each rule is compiled once per
+(** Default engine: [`Seminaive]; default planner:
+    {!Planlib.Plan.default_planner}.  Each rule is compiled once per
     variant — the full application and one delta-specialized variant per
     positive evolving body position — into a {!Planlib.Plan.t} and reused
     across iterations; [cache], when given, additionally shares plans
@@ -94,7 +93,6 @@ val apply_once :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   rules:Datalog.Ast.rule list ->
   schema:Relalg.Schema.t ->
@@ -115,7 +113,6 @@ val run_delta :
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
   ?limits:(string * (Datalog.Ast.limit_kind * int)) list ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   ?pool:Negdl_util.Domain_pool.t ->
   ?grain:Engine.grain ->

@@ -32,7 +32,6 @@ type t = {
   program : Ast.program;
   engine : Saturate.engine option;
   planner : Engine.planner option;
-  indexing : Engine.indexing option;
   pool : Negdl_util.Domain_pool.t option;
   grain : Engine.grain option;
   stats : Stats.t;
@@ -58,12 +57,11 @@ let zero_counters =
     cache_misses = 0;
   }
 
-let create ?engine ?planner ?indexing ?pool ?grain ?stats program db =
+let create ?engine ?planner ?indexing:_ ?pool ?grain ?stats program db =
   let stats = match stats with Some s -> s | None -> Stats.create () in
   let cache = Planlib.Cache.create () in
   match
-    Stratified.eval ?engine ?planner ~cache ?indexing ~stats ?pool
-      ?grain program db
+    Stratified.eval ?engine ?planner ~cache ~stats ?pool ?grain program db
   with
   | Error e -> Error (Stratified.error_to_string e)
   | Ok idb ->
@@ -72,7 +70,6 @@ let create ?engine ?planner ?indexing ?pool ?grain ?stats program db =
         program;
         engine;
         planner;
-        indexing;
         pool;
         grain;
         stats;
@@ -145,8 +142,7 @@ let restore_from t path =
       Planlib.Cache.seed_overrides t.cache seeds;
       Ok ())
 
-let create_restored ?engine ?planner ?indexing ?pool ?grain ?stats
-    program image =
+let create_restored ?engine ?planner ?pool ?grain ?stats program image =
   match Datalog.Stratify.stratify program with
   | Datalog.Stratify.Not_stratifiable { offending = p, q } ->
     Error
@@ -166,7 +162,6 @@ let create_restored ?engine ?planner ?indexing ?pool ?grain ?stats
           program;
           engine;
           planner;
-          indexing;
           pool;
           grain;
           stats;
@@ -183,7 +178,7 @@ let create_restored ?engine ?planner ?indexing ?pool ?grain ?stats
 let update t ~additions ~removals =
   match
     Dred.apply ?engine:t.engine ?planner:t.planner ~cache:t.cache
-      ?indexing:t.indexing ~stats:t.stats ?pool:t.pool
+      ~stats:t.stats ?pool:t.pool
       ?grain:t.grain ~who:"update" t.program t.db ~current:t.idb ~additions
       ~removals ()
   with

@@ -3,8 +3,7 @@ let idb_schema_exn p =
   | Ok s -> s
   | Error msg -> invalid_arg ("Theta: " ^ msg)
 
-let apply ?(parallel = false) ?pool ?grain ?planner ?cache ?indexing
-    ?stats p db s =
+let apply ?(parallel = false) ?pool ?grain ?planner ?cache ?stats p db s =
   let schema = idb_schema_exn p in
   if parallel then
     (* Same semantics as the sequential path below — evolving predicates
@@ -14,13 +13,13 @@ let apply ?(parallel = false) ?pool ?grain ?planner ?cache ?indexing
        valuation missing some IDB predicate still resolves (the layered
        source's database fallback, made explicit). *)
     let s = Idb.union (Idb.empty schema) s in
-    Saturate.apply_once ~parallel:true ?pool ?grain ?planner ?cache ?indexing
+    Saturate.apply_once ~parallel:true ?pool ?grain ?planner ?cache
       ?stats ~rules:p.Datalog.Ast.rules ~schema
       ~universe:(Relalg.Database.universe db)
       ~base:(Engine.database_source db) ~neg:`Current ~current:s ()
   else
     let resolver = Engine.uniform (Engine.layered db s) in
-    Engine.eval_rules ?planner ?cache ?indexing ?stats
+    Engine.eval_rules ?planner ?cache ?stats
       ~universe:(Relalg.Database.universe db) ~resolver ~schema
       p.Datalog.Ast.rules
 

@@ -14,7 +14,6 @@ val apply :
   ?grain:Engine.grain ->
   ?planner:Engine.planner ->
   ?cache:Planlib.Cache.t ->
-  ?indexing:Engine.indexing ->
   ?stats:Stats.t ->
   Datalog.Ast.program ->
   Relalg.Database.t ->

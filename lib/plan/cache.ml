@@ -40,13 +40,13 @@ let create () = { table = H.create 32; pending = H.create 8 }
 let max_generation = 2
 
 (* Replan when any cardinality the cost model saw has drifted past the
-   shared factor — early fixpoint stages grow relations from empty, so the
-   first plans are made against unrepresentative sizes.  Occurrences a
+   shared [Plan.drift_factor] — early fixpoint stages grow relations from
+   empty, so the first plans are made against unrepresentative sizes.  Occurrences a
    feedback replan overrode are skipped: their recorded size is the
    observed effective cardinality, which the resolver's raw size is
    expected to disagree with. *)
 let drifted (plan : Plan.t) ~sizes =
-  let f = Plan.drift_factor () in
+  let f = Plan.drift_factor in
   List.exists
     (fun ((occ : Plan.occurrence), arity, n0) ->
       (not (List.mem_assoc occ.Plan.index plan.Plan.overrides))

@@ -20,8 +20,6 @@ type occurrence = {
 
 type resolver = occurrence -> source
 
-type indexing = [ `Cached | `Percall | `Scan ]
-
 type planner = [ `Static | `Scan | `Adaptive ]
 
 let planner_of_string = function
@@ -49,12 +47,8 @@ let default_planner () = Atomic.get default
    one the cost model saw — early fixpoint stages grow relations from
    empty, so the first plans are made against unrepresentative sizes.
    Shared by the cache's input-size drift check and the adaptive planner's
-   observed-selectivity check; the CLI's [--plan-drift] sets it. *)
-let drift_cell = Atomic.make 4
-
-let set_drift_factor f = Atomic.set drift_cell (max 1 f)
-
-let drift_factor () = Atomic.get drift_cell
+   observed-selectivity check. *)
+let drift_factor = 4
 
 let drift_slack = 16
 
@@ -449,9 +443,8 @@ let compile ?planner ?(variant = Full) ?label ?(overrides = [])
     in
     if use_probe then
       let key = args.(!col) in
-      (* [pattern] binds the fresh slots; the probed column stays a check
-         in the pattern so the [`Scan] indexing fallback needs no special
-         case. *)
+      (* [pattern] binds the fresh slots; the probed column stays a
+         (redundant) check in the pattern. *)
       push (Index_probe { access; col = !col; key; pat = pattern args }) est
     else push (Scan { access; pat = pattern args }) est
   in
@@ -777,7 +770,7 @@ let replan_hint plan =
   let fb = plan.fb in
   if fb.fb_runs = 0 then None
   else begin
-    let f = float_of_int (drift_factor ()) in
+    let f = float_of_int drift_factor in
     let slack = float_of_int drift_slack in
     let runs = float_of_int fb.fb_runs in
     let u = float_of_int (max plan.universe_at_plan 1) in
@@ -846,23 +839,21 @@ let ipow_sat base e =
   go 1 e
 
 (* A prepared execution context: the per-run state the old [run] built
-   inline — resolved sources, slot environment, scratch probe tuples,
-   per-call index tables — plus the index of the plan's {e driving} step
-   (the first [Scan]/[Index_probe]/[Enumerate], whose input rows the
-   sharded executor partitions into morsels).  One context belongs to one
+   inline — resolved sources, slot environment, scratch probe tuples —
+   plus the index of the plan's {e driving} step (the first
+   [Scan]/[Index_probe]/[Enumerate], whose input rows the sharded
+   executor partitions into morsels).  One context belongs to one
    domain; the shared compiled plan is immutable — per-step row counts
    accumulate in the context's [p_rows] and are folded into the plan's
    feedback record at the run barrier ({!harvest}). *)
 type prepared = {
   p_plan : t;
-  p_indexing : indexing;
   p_counters : counters option;
   p_universe : Symbol.t list;
   p_usize : int;
   p_env : Symbol.t array;
   p_rels : Relation.t array;
   p_scratch : Symbol.t array array;
-  p_percall : (Symbol.t, Tuple.t list) Hashtbl.t option array;
   p_driving : int;
   p_rows : int array;
   p_best : (Tuple.t, Symbol.t) Hashtbl.t;
@@ -873,13 +864,12 @@ type prepared = {
   mutable p_din : int;
 }
 
-let prepare ?(indexing = `Cached) ?counters ~resolver ~universe plan =
+let prepare ?counters ~resolver ~universe plan =
   let steps = plan.steps in
   let nsteps = Array.length steps in
   let env = Array.make (max plan.nslots 1) dummy in
   let rels = Array.make (max nsteps 1) (Relation.empty 0) in
   let scratch = Array.make (max nsteps 1) [||] in
-  let percall = Array.make (max nsteps 1) None in
   Array.iteri
     (fun i st ->
       match st.op with
@@ -926,14 +916,12 @@ let prepare ?(indexing = `Cached) ?counters ~resolver ~universe plan =
     steps;
   {
     p_plan = plan;
-    p_indexing = indexing;
     p_counters = counters;
     p_universe = universe;
     p_usize = List.length universe;
     p_env = env;
     p_rels = rels;
     p_scratch = scratch;
-    p_percall = percall;
     p_driving = !driving;
     p_rows = Array.make (max nsteps 1) 0;
     p_best = Hashtbl.create 16;
@@ -1050,23 +1038,6 @@ let current_group_bound prep i col group =
     |> Option.map (fun t -> Tuple.get t col)
   end
 
-let percall_table prep i col =
-  match prep.p_percall.(i) with
-  | Some table ->
-    bump_index prep true;
-    table
-  | None ->
-    bump_index prep false;
-    let table = Hashtbl.create 64 in
-    Relation.iter
-      (fun t ->
-        let k = Tuple.get t col in
-        Hashtbl.replace table k
-          (t :: Option.value ~default:[] (Hashtbl.find_opt table k)))
-      prep.p_rels.(i);
-    prep.p_percall.(i) <- Some table;
-    table
-
 (* Rows of the driving step's input — the quantity the sharded executor
    partitions.  Positions are stable per relation value: backend iteration
    order for scans, bucket order for probes, universe order for
@@ -1123,20 +1094,10 @@ let driving_rows prep =
       match steps.(d).op with
       | Scan _ -> Relation.cardinal prep.p_rels.(d)
       | Enumerate _ -> prep.p_usize
-      | Index_probe { col; key; _ } -> (
-        match prep.p_indexing with
-        | `Scan -> Relation.cardinal prep.p_rels.(d)
-        | `Cached ->
-          (* Also warms the relation's memoized index in the coordinator,
-             so shard contexts hit it. *)
-          List.length (Relation.matching col (value env key) prep.p_rels.(d))
-        | `Percall ->
-          (* Count matches without building this context's throwaway
-             table — shard contexts each build their own. *)
-          let k = value env key in
-          Relation.fold
-            (fun t n -> if Symbol.equal (Tuple.get t col) k then n + 1 else n)
-            prep.p_rels.(d) 0)
+      | Index_probe { col; key; _ } ->
+        (* Also warms the relation's memoized index in the coordinator, so
+           shard contexts hit it. *)
+        List.length (Relation.matching col (value env key) prep.p_rels.(d))
       | Compare _ | Assign _ | Const_filter _ | Neg_check _ | Exists _
       | Neg_exists _ | Le_check _ | Plus_bind _ | Plus_check _
       | Aggregate_probe _ | Tighten_emit _ ->
@@ -1268,21 +1229,9 @@ let exec_range prep ~lo ~hi ~on_row =
       | Scan { pat; _ } ->
         bump_scan prep;
         scan_rel i pat
-      | Index_probe { col; key; pat; _ } -> (
-        match prep.p_indexing with
-        | `Scan ->
-          (* The probed column is still checked by the pattern, so the
-             fallback is a plain filtered scan (sliced by scan position
-             when this is the driving step). *)
-          bump_scan prep;
-          scan_rel i pat
-        | `Cached ->
-          bump_index prep (Relation.has_index prep.p_rels.(i) col);
-          stream i pat (Relation.matching col (value env key) prep.p_rels.(i))
-        | `Percall ->
-          let table = percall_table prep i col in
-          stream i pat
-            (Option.value ~default:[] (Hashtbl.find_opt table (value env key))))
+      | Index_probe { col; key; pat; _ } ->
+        bump_index prep (Relation.has_index prep.p_rels.(i) col);
+        stream i pat (Relation.matching col (value env key) prep.p_rels.(i))
   and scan_rel i pat =
     if i = d then begin
       let pos = ref 0 in
@@ -1343,8 +1292,8 @@ let exec_range prep ~lo ~hi ~on_row =
 
 let exec prep ~on_row = exec_range prep ~lo:0 ~hi:max_int ~on_row
 
-let run ?indexing ?counters ~resolver ~universe plan ~on_row =
-  let prep = prepare ?indexing ?counters ~resolver ~universe plan in
+let run ?counters ~resolver ~universe plan ~on_row =
+  let prep = prepare ?counters ~resolver ~universe plan in
   exec prep ~on_row;
   harvest plan [ prep ]
 
@@ -1364,10 +1313,10 @@ let auto_grain ~rows ~workers =
   let w = max 1 workers in
   if w = 1 then max 16 rows else max 16 ((rows + (8 * w) - 1) / (8 * w))
 
-let run_sharded ?(indexing = `Cached) ?(counters = fun _ -> None) ~pool ?grain
-    ~resolver ~universe plan ~on_row =
+let run_sharded ?(counters = fun _ -> None) ~pool ?grain ~resolver ~universe
+    plan ~on_row =
   (* The counting context doubles as participant 0's execution context. *)
-  let count_ctx = prepare ~indexing ~resolver ~universe plan in
+  let count_ctx = prepare ~resolver ~universe plan in
   let fb = plan.fb in
   (* The driving-input count is only walked on a plan's first run; after
      that the feedback record's observed average sizes the morsels and the
@@ -1409,7 +1358,7 @@ let run_sharded ?(indexing = `Cached) ?(counters = fun _ -> None) ~pool ?grain
       | None ->
         let prep =
           if p = 0 then { count_ctx with p_counters = counters 0 }
-          else prepare ~indexing ?counters:(counters p) ~resolver ~universe plan
+          else prepare ?counters:(counters p) ~resolver ~universe plan
         in
         preps.(p) <- Some prep;
         prep
@@ -1545,7 +1494,7 @@ let pp_feedback ppf plan =
     plan.generation;
   Format.fprintf ppf "@,runs %d; driving avg %.1f; emitted avg %.1f (est %.1f)"
     fb.fb_runs (avg fb.fb_driving) (avg fb.fb_emitted) plan.est_out;
-  let f = float_of_int (drift_factor ()) in
+  let f = float_of_int drift_factor in
   let slack = float_of_int drift_slack in
   Array.iteri
     (fun i st ->

@@ -35,8 +35,8 @@
     {b Feedback.} Plans are immutable apart from a per-plan {!feedback}
     record of observed cardinalities: per-step rows produced, emitted
     rows, the driving step's input size, and a window of recent
-    driving-input ("delta") sizes.  Per-run counts accumulate in the
-    {!prepared} execution context — one per domain — and are folded into
+    driving-input ("delta") sizes.  Per-run counts accumulate in a
+    per-run execution context — one per domain — and are folded into
     the plan's record once per run, at the fixpoint-stage barrier on the
     sharded path, so the record is never written from two domains.  The
     [`Adaptive] planner ({!Cache}) closes the loop: when observed
@@ -57,12 +57,6 @@ type occurrence = {
 
 type resolver = occurrence -> source
 (** Decides, per atom occurrence, which source to read. *)
-
-type indexing = [ `Cached | `Percall | `Scan ]
-(** How [Index_probe] steps locate matching tuples — see {!Evallib.Engine}:
-    memoized relation-owned indexes, throwaway per-execution hash tables,
-    or plain scans (the pattern re-checks the probed column, so the
-    fallback needs no replanning). *)
 
 type planner = [ `Static | `Scan | `Adaptive ]
 (** - [`Static] (default): compile once per (rule, variant), cache, and
@@ -85,14 +79,11 @@ val set_default_planner : planner -> unit
 
 val default_planner : unit -> planner
 
-val set_drift_factor : int -> unit
-(** Sets the drift factor (default 4, clamped to >= 1) shared by the
-    cache's input-size drift check and the adaptive planner's
-    observed-selectivity check — the CLI's [--plan-drift].  A quantity has
-    drifted when it exceeds [factor * reference + drift_slack] in either
-    direction. *)
-
-val drift_factor : unit -> int
+val drift_factor : int
+(** The drift factor (4) shared by the cache's input-size drift check and
+    the adaptive planner's observed-selectivity check.  A quantity has
+    drifted when it exceeds [drift_factor * reference + drift_slack] in
+    either direction. *)
 
 val drift_slack : int
 (** Additive slack under which drift is never declared — early fixpoint
@@ -279,7 +270,6 @@ val replan_hint : t -> (int * int) option
     flowing through the wrong access path or join order. *)
 
 val run :
-  ?indexing:indexing ->
   ?counters:counters ->
   resolver:resolver ->
   universe:Relalg.Symbol.t list ->
@@ -288,9 +278,11 @@ val run :
   unit
 (** Executes the plan: [on_row] is called once per complete binding with
     the slot environment (valid only for the duration of the call — copy
-    what you keep, or use {!head_tuple}).  Matching is return-value based
-    (no exceptions on the hot path) and allocation-free apart from index
-    construction and the caller's [on_row].  Completes by folding the
+    what you keep, or use {!head_tuple}).  [Index_probe] steps read the
+    relation's memoized column index ({!Relalg.Relation.matching}), built
+    on first use and maintained incrementally.  Matching is return-value
+    based (no exceptions on the hot path) and allocation-free apart from
+    index construction and the caller's [on_row].  Completes by folding the
     run's observed cardinalities into the plan's feedback record. *)
 
 (** {2 Sharded (morsel-driven) execution}
@@ -304,35 +296,6 @@ val run :
     over a per-shard context.  Row positions are stable per relation value,
     so the set of emitted rows is independent of the schedule; merge
     per-shard accumulators in participant order for full determinism. *)
-
-type prepared
-(** A per-domain execution context: resolved sources, slot registers,
-    scratch probe tuples, per-call index tables, the driving-step index,
-    and the context's share of the run's observed row counts.  Cheap
-    relative to execution; one per (plan, run, domain). *)
-
-val prepare :
-  ?indexing:indexing ->
-  ?counters:counters ->
-  resolver:resolver ->
-  universe:Relalg.Symbol.t list ->
-  t ->
-  prepared
-(** Resolves the plan's sources and allocates the per-run state {!run}
-    otherwise builds internally.  Does not count as an execution (the
-    feedback record is untouched until a run completes). *)
-
-val driving_rows : prepared -> int
-(** How many input rows the driving step would iterate: the driven
-    relation's cardinality for scans, the probed bucket's length for index
-    probes (under [`Scan] indexing, the cardinality — the fallback scans),
-    the universe size for enumerations, and 1 for plans with no driving
-    step (fully constant-decided).  Evaluates the constant prefix before
-    the driving step — so a probe key bound by an earlier [Assign]
-    resolves, and a failed prefix filter reports 0 — without bumping any
-    row or probe counters.  {!run_sharded} calls this only on a plan's
-    first run; afterwards the feedback record's observed driving-input
-    average replaces the count. *)
 
 val auto_grain : rows:int -> workers:int -> int
 (** The default morsel size: [rows / (8 * workers)], floored at 16 — about
@@ -349,7 +312,6 @@ type shard_report = {
 }
 
 val run_sharded :
-  ?indexing:indexing ->
   ?counters:(int -> counters option) ->
   pool:Negdl_util.Domain_pool.t ->
   ?grain:int ->
@@ -371,9 +333,10 @@ val run_sharded :
     schedule-independent; per-participant attribution is not (merge in
     participant order for determinism).
 
-    The driving input is counted ({!driving_rows}) only on the plan's
-    first run; subsequent runs size morsels from the feedback record's
-    observed average, with the last morsel open-ended so underestimates
+    The driving input (the driven relation's cardinality for a scan, the
+    probed bucket's length for an index probe, the universe size for an
+    enumeration) is counted only on the plan's first run; subsequent runs
+    size morsels from the feedback record's observed average, with the last morsel open-ended so underestimates
     cannot drop rows (overestimated trailing morsels just find an empty
     slice).  Each run ends at a barrier that folds the participants'
     observed counts into the plan's feedback record in participant

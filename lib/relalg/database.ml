@@ -150,6 +150,16 @@ let valid_constant name =
 
 exception Parse_error of string
 
+(* A fact file fixes each predicate's arity at its first fact. *)
+let add_parsed_fact name t db =
+  match relation name db with
+  | Some r when Relation.arity r <> Tuple.arity t ->
+    raise
+      (Parse_error
+         (Printf.sprintf "%s has arity %d, but a fact gives it %d arguments"
+            name (Relation.arity r) (Tuple.arity t)))
+  | _ -> add_fact name t db
+
 let parse_statement db stmt =
   if String.length stmt >= 9 && String.sub stmt 0 9 = "#universe" then begin
     let rest = String.sub stmt 9 (String.length stmt - 9) in
@@ -171,7 +181,7 @@ let parse_statement db stmt =
     match String.index_opt stmt '(' with
     | None ->
       (* A 0-ary fact: just a predicate name. *)
-      if valid_constant stmt then add_fact stmt Tuple.empty db
+      if valid_constant stmt then add_parsed_fact stmt Tuple.empty db
       else raise (Parse_error (Printf.sprintf "malformed statement %S" stmt))
     | Some lp ->
       let name = String.trim (String.sub stmt 0 lp) in
@@ -188,7 +198,7 @@ let parse_statement db stmt =
               (Parse_error (Printf.sprintf "bad constant %S in %S" a stmt)))
         args;
       let db = add_universe (List.map Symbol.intern args) db in
-      add_fact name (Tuple.of_strings args) db
+      add_parsed_fact name (Tuple.of_strings args) db
 
 let parse text =
   let text = strip_comments text in

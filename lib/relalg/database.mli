@@ -82,8 +82,8 @@ val parse : string -> (t, string) result
     edge(a, b).             (a fact)
     v}
 
-    Constants are identifiers or integers.  Returns [Error msg] with a
-    1-based line number on malformed input. *)
+    Constants are identifiers or integers; a predicate keeps the arity
+    of its first fact.  Returns [Error msg] on malformed input. *)
 
 val parse_exn : string -> t
 (** @raise Failure on malformed input. *)

@@ -8,6 +8,12 @@ let pp ppf cnf =
 
 let to_string cnf = Format.asprintf "%a" pp cnf
 
+(* Every consumer allocates and works per declared variable (solver
+   state, the SAT-to-fixpoint database; the solver's branching scan is
+   linear in the variable count per decision), so the header's count is
+   bounded before anything is sized from it. *)
+let max_vars = 1 lsl 16
+
 let parse text =
   let tokenize line =
     String.split_on_char ' ' line
@@ -33,6 +39,9 @@ let parse text =
     | _, None -> Error (Printf.sprintf "bad clause count %S" nc)
     | Some n, _ when n < 0 ->
       Error (Printf.sprintf "negative variable count %d" n)
+    | Some n, _ when n > max_vars ->
+      Error
+        (Printf.sprintf "variable count %d exceeds the limit of %d" n max_vars)
     | _, Some c when c < 0 -> Error (Printf.sprintf "negative clause count %d" c)
     | Some n, Some declared -> (
       let rec clauses acc current = function

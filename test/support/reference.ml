@@ -84,10 +84,15 @@ let idb_only p atoms =
   let hs = heads p in
   Atoms.filter (fun (pred, _) -> List.mem pred hs) atoms
 
-let inflationary p db =
+let theta p db =
   let universe, edb = read_database db in
-  idb_only p
-    (saturate (fun s -> consequences p.Ast.rules universe ~pos:s ~neg:s) edb)
+  fun s ->
+    let s = Atoms.union edb s in
+    consequences p.Ast.rules universe ~pos:s ~neg:s
+
+let inflationary p db =
+  let _, edb = read_database db in
+  idb_only p (saturate (theta p db) edb)
 
 let well_founded p db =
   let universe, edb = read_database db in

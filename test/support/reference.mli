@@ -17,6 +17,11 @@ val stratified : Datalog.Ast.program -> Relalg.Database.t -> Atoms.t option
     predicate depends negatively on itself through a cycle (not
     stratifiable). *)
 
+val theta : Datalog.Ast.program -> Relalg.Database.t -> Atoms.t -> Atoms.t
+(** [theta p db s]: one application of Θ — the head atoms every rule
+    derives with both positive and negated literals read against the
+    database's facts plus [s]. *)
+
 val inflationary : Datalog.Ast.program -> Relalg.Database.t -> Atoms.t
 (** The IDB atoms of the inflationary limit [S_{i+1} = S_i ∪ Θ(S_i)]. *)
 

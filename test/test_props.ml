@@ -46,45 +46,35 @@ let prop_engines_agree =
         (Evallib.Inflationary.eval ~engine:`Naive p db)
         (Evallib.Inflationary.eval ~engine:`Seminaive p db))
 
-(* Every (engine, indexing) combination must compute the same model — the
-   fixpoint is a semantic object, not an artefact of evaluation order,
-   index structure, or domain scheduling. *)
+(* Every engine must compute the same model — the fixpoint is a semantic
+   object, not an artefact of evaluation order or domain scheduling. *)
 let engines = [ `Naive; `Seminaive; `Parallel ]
 
-let indexings = [ `Cached; `Percall; `Scan ]
-
 let all_modes_agree eval equal reference =
-  List.for_all
-    (fun engine ->
-      List.for_all
-        (fun indexing -> equal reference (eval ~engine ~indexing))
-        indexings)
-    engines
+  List.for_all (fun engine -> equal reference (eval ~engine)) engines
 
 let prop_engine_matrix_inflationary =
   QCheck.Test.make
-    ~name:"all engine x indexing modes agree (inflationary fixpoint)"
-    ~count:60 arb_case (fun (p, db) ->
+    ~name:"all engines agree (inflationary fixpoint)" ~count:60 arb_case
+    (fun (p, db) ->
       let reference = Evallib.Inflationary.eval p db in
       all_modes_agree
-        (fun ~engine ~indexing ->
-          Evallib.Inflationary.eval ~engine ~indexing p db)
+        (fun ~engine -> Evallib.Inflationary.eval ~engine p db)
         Idb.equal reference)
 
 let prop_engine_matrix_positive =
-  QCheck.Test.make ~name:"all engine x indexing modes agree (positive lfp)"
-    ~count:60 arb_case (fun (p, db) ->
+  QCheck.Test.make ~name:"all engines agree (positive lfp)" ~count:60
+    arb_case (fun (p, db) ->
       let p = positivise p in
       let reference = Evallib.Naive.least_fixpoint p db in
       all_modes_agree
-        (fun ~engine ~indexing ->
-          Evallib.Naive.least_fixpoint ~engine ~indexing p db)
+        (fun ~engine -> Evallib.Naive.least_fixpoint ~engine p db)
         Idb.equal reference)
 
 let prop_engine_matrix_semantics =
   QCheck.Test.make
-    ~name:"all engine x indexing modes agree (stratified + well-founded)"
-    ~count:40 arb_case (fun (p, db) ->
+    ~name:"all engines agree (stratified + well-founded)" ~count:40 arb_case
+    (fun (p, db) ->
       QCheck.assume (Datalog.Stratify.is_stratified p);
       let strat_ref = Evallib.Stratified.eval_exn p db in
       let wf_equal (a : Evallib.Wellfounded.model) b =
@@ -95,12 +85,10 @@ let prop_engine_matrix_semantics =
       in
       let wf_ref = Evallib.Wellfounded.eval p db in
       all_modes_agree
-        (fun ~engine ~indexing ->
-          Evallib.Stratified.eval_exn ~engine ~indexing p db)
+        (fun ~engine -> Evallib.Stratified.eval_exn ~engine p db)
         Idb.equal strat_ref
       && all_modes_agree
-           (fun ~engine ~indexing ->
-             Evallib.Wellfounded.eval ~engine ~indexing p db)
+           (fun ~engine -> Evallib.Wellfounded.eval ~engine p db)
            wf_equal wf_ref)
 
 (* The morsel grain is pure scheduling: whatever the shard size (one tuple,
@@ -336,18 +324,21 @@ let prop_indexed_equals_scan =
       | Error _ -> true
       | Ok schema ->
         let universe = Relalg.Database.universe db in
-        (* One Theta application against the inflationary limit, computed
-           under all three indexing strategies. *)
+        (* One Theta application against the inflationary limit: through
+           the static planner's index probes, through the scan planner
+           (textual order, no probes), and by the reference evaluator. *)
         let s = Evallib.Inflationary.eval p db in
         let resolver =
           Evallib.Engine.uniform (Evallib.Engine.layered db s)
         in
-        let apply indexing =
-          Evallib.Engine.eval_rules ~indexing ~universe ~resolver ~schema
+        let apply planner =
+          Evallib.Engine.eval_rules ~planner ~universe ~resolver ~schema
             p.Ast.rules
         in
-        let cached = apply `Cached in
-        Idb.equal cached (apply `Percall) && Idb.equal cached (apply `Scan))
+        let indexed = apply `Static in
+        Idb.equal indexed (apply `Scan)
+        && Reference.Atoms.equal (atoms indexed)
+             (Reference.theta p db (atoms s)))
 
 (* Limit predicates: the plan-path tightening evaluation must agree with
    a brute-force reference that materializes every cost tuple (same rules,
@@ -386,6 +377,65 @@ let prop_pretty_roundtrip =
     ~count:150 arb_case (fun (p, _db) ->
       Datalog.Parser.parse_program_exn (Datalog.Pretty.program_to_string p) = p)
 
+(* Byte fuzzing of the three text parsers: whatever the input — random
+   bytes, or a valid program, fact file or DIMACS instance truncated or
+   mutated — each returns [Ok] or [Error] and never raises, and a DIMACS
+   [Ok] never declares more variables than the ceiling. *)
+let parser_seeds =
+  [
+    "dist min 2.\n\
+     dist(X, 0) :- source(X).\n\
+     dist(Y, S) :- dist(X, D), edge(X, Y, W), S = D + W.\n\
+     near(X) :- dist(X, D), D <= 2.\n\
+     far(X) :- node(X), !near(X).\n";
+    "% the paper's pi_1\nt(X) :- e(Y, X), !t(Y).\nw(X) :- e(X, Y), X != Y.\n";
+    "source(a).\nedge(a, b, 1). edge(b, c, 1).\nnode(a). node(\"b c\").\n";
+    "c comment\np cnf 3 3\n1 2 0\n-1 3 0\n-2 0\n";
+    "p cnf 4611686018427387903 1\n1 0\n";
+  ]
+
+let gen_parser_input =
+  let open QCheck.Gen in
+  let mutate s =
+    let n = String.length s in
+    let* i = int_bound (max 0 n) in
+    let* c = char in
+    oneof
+      [
+        return (String.sub s 0 i);
+        return
+          (if i < n then String.mapi (fun j x -> if j = i then c else x) s
+           else s);
+        return (String.sub s 0 i ^ String.make 1 c ^ String.sub s i (n - i));
+        (let* k = int_bound 8 in
+         let k = min k (n - i) in
+         return (String.sub s 0 i ^ String.sub s (i + k) (n - i - k)));
+      ]
+  in
+  let rec mutations k s =
+    if k = 0 then return s else mutate s >>= mutations (k - 1)
+  in
+  oneof
+    [
+      string_size ~gen:char (int_bound 200);
+      (let* seed = oneofl parser_seeds in
+       let* k = int_range 1 4 in
+       mutations k seed);
+    ]
+
+let prop_parsers_total =
+  QCheck.Test.make ~name:"text parsers answer Ok or Error on any bytes"
+    ~count:2000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_parser_input)
+    (fun text ->
+      let total parse = match parse text with Ok _ | Error _ -> true in
+      total Negdl.parse_program
+      && total Negdl.parse_database
+      &&
+      match Satlib.Dimacs.parse text with
+      | Ok cnf -> Satlib.Cnf.num_vars cnf <= Satlib.Dimacs.max_vars
+      | Error _ -> true)
+
 let () =
   Alcotest.run "properties"
     [
@@ -417,5 +467,6 @@ let () =
             prop_reference_stratified;
             prop_reference_inflationary;
             prop_reference_well_founded;
+            prop_parsers_total;
           ] );
     ]

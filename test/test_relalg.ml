@@ -594,9 +594,15 @@ let test_database_parse_errors () =
   (match Database.parse "edge(a, b" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing paren accepted");
-  match Database.parse "bad stuff(a)." with
+  (match Database.parse "bad stuff(a)." with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "junk accepted"
+  | Ok _ -> Alcotest.fail "junk accepted");
+  (* A predicate keeps the arity of its first fact. *)
+  match Database.parse "p(a). p." with
+  | Error msg ->
+    check Alcotest.string "arity mismatch"
+      "p has arity 1, but a fact gives it 0 arguments" msg
+  | Ok _ -> Alcotest.fail "mixed arities accepted"
 
 let test_database_equal () =
   let d1 = Database.of_facts ~universe:[ "a" ] [ ("p", [ "a" ]) ] in

@@ -98,6 +98,24 @@ let test_dimacs_validation () =
   | Error msg -> Alcotest.fail ("tautology miscounted: " ^ msg)
   | Ok cnf -> check bool "tautology dropped" true (Cnf.num_clauses cnf <= 2)
 
+(* A header's variable count sizes every consumer's state, so one past the
+   ceiling — or max_int — is a parse error, never an allocation. *)
+let test_dimacs_ceiling () =
+  let header n = Printf.sprintf "p cnf %d 1\n1 0\n" n in
+  (match Dimacs.parse (header Dimacs.max_vars) with
+  | Ok cnf -> check int "at the ceiling" Dimacs.max_vars (Cnf.num_vars cnf)
+  | Error msg -> Alcotest.fail ("ceiling rejected: " ^ msg));
+  List.iter
+    (fun n ->
+      match Dimacs.parse (header n) with
+      | Ok _ -> Alcotest.failf "variable count %d accepted" n
+      | Error msg ->
+        check Alcotest.string "message"
+          (Printf.sprintf "variable count %d exceeds the limit of %d" n
+             Dimacs.max_vars)
+          msg)
+    [ Dimacs.max_vars + 1; max_int ]
+
 (* --- Solver vs brute force ---------------------------------------------- *)
 
 let test_solver_trivial () =
@@ -541,6 +559,7 @@ let () =
           Alcotest.test_case "multiline clause" `Quick test_dimacs_multiline_clause;
           Alcotest.test_case "errors" `Quick test_dimacs_errors;
           Alcotest.test_case "header validation" `Quick test_dimacs_validation;
+          Alcotest.test_case "variable count ceiling" `Quick test_dimacs_ceiling;
         ] );
       ( "solver",
         [
