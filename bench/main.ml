@@ -19,10 +19,11 @@
    exits nonzero if any count diverges.
 
    Part 5 ("satpar") is the parallel-search benchmark: the portfolio CDCL
-   racer vs the sequential solver on a band of hard random 3-CNF, and the
-   component-parallel exact census vs flat enumeration on k x C_4, with
-   answer-parity checks.  Writes BENCH_sat.json and exits nonzero if any
-   answer diverges.
+   racer vs the sequential solver on a band of hard random 3-CNF, the
+   component-parallel exact census vs flat enumeration on k x C_4, and the
+   component split's time on a planted 300-vertex kernel CNF (one
+   component), with answer-parity checks.  Writes BENCH_sat.json and exits
+   nonzero if any answer diverges.
 
    Part 6 ("plan") is the join-planner ablation: compile-once static plans
    vs unplanned textual scans vs the adaptive feedback planner, on
@@ -995,6 +996,28 @@ let storage_bench ~quick () =
 
 (* --- Part 5: parallel SAT search benchmark (BENCH_sat.json) ----------------- *)
 
+(* A digraph with a planted fixpoint of pi_1, the shape of the repository
+   benchmark's kernel_fixpoints instances: a set S of about 3/10 of the
+   vertices is independent and every vertex outside S has an edge from S,
+   then random edges outside S x S fill up to [m]. *)
+let planted_kernel_graph ~seed ~n ~m =
+  let rng = Prng.create seed in
+  let in_s = Array.init n (fun v -> v = 0 || Prng.int rng 10 < 3) in
+  let s =
+    Array.of_list (List.filter (fun v -> in_s.(v)) (List.init n Fun.id))
+  in
+  let seen = Hashtbl.create m in
+  let add (u, v) = Hashtbl.replace seen (u, v) () in
+  for x = 0 to n - 1 do
+    if not in_s.(x) then add (s.(Prng.int rng (Array.length s)), x)
+  done;
+  while Hashtbl.length seen < m do
+    let u = Prng.int rng n and v = Prng.int rng n in
+    if u <> v && not (in_s.(u) && in_s.(v)) then add (u, v)
+  done;
+  Digraph.make n
+    (List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) seen []))
+
 let satpar_bench ~quick () =
   let n_workers = if quick then 2 else 4 in
   Format.printf
@@ -1092,8 +1115,36 @@ let satpar_bench ~quick () =
     | (_, _, t_flat, _, _, t_exact) :: _ -> t_flat /. t_exact
     | [] -> 0.
   in
-  Format.printf "  parity: sat band %s, census counts %s@." (ok sat_parity)
-    (ok census_parity);
+  (* Workload 3 — one planted-kernel digraph on 300 vertices and 1200
+     edges, the kernel_fixpoints shape: its fixpoint CNF is a single
+     component, so the split decides nothing and must cost little.  The
+     component census (count_exact: split, then the DPLL counter) must
+     agree with the flat blocking-clause count. *)
+  let kernel_n = 300 in
+  let kernel_db =
+    db_of (planted_kernel_graph ~seed:3 ~n:kernel_n ~m:(4 * kernel_n))
+  in
+  let kernel_enc = Fixpoint_encode.build (Ground.ground pi1 kernel_db) in
+  let kernel_clauses = Cnf.clauses (Fixpoint_encode.cnf kernel_enc) in
+  let kernel_comps, t_split =
+    best_of (if quick then 5 else 10) (fun () ->
+        Sat_count.components kernel_clauses)
+  in
+  let kernel = Fixpoints.prepare pi1 kernel_db in
+  let kernel_flat, t_kflat = best_of reps (fun () -> Fixpoints.count kernel) in
+  let kernel_exact, t_kexact =
+    best_of reps (fun () -> Fixpoints.count_exact ~par:1 kernel)
+  in
+  let kernel_parity = kernel_exact = Satlib.Outcome.Exact kernel_flat in
+  Format.printf "  %-26s %8s %10s %10s %10s %6s@." "kernel census" "count"
+    "split ms" "flat ms" "exact ms" "comps";
+  Format.printf "  %-26s %8d %10.3f %10.2f %10.2f %6d%s@."
+    (Printf.sprintf "planted_n%d_c%d" kernel_n (List.length kernel_clauses))
+    kernel_flat (t_split *. 1e3) (t_kflat *. 1e3) (t_kexact *. 1e3)
+    (List.length kernel_comps)
+    (if kernel_parity then "" else "  DIVERGENCE");
+  Format.printf "  parity: sat band %s, census counts %s, kernel census %s@."
+    (ok sat_parity) (ok census_parity) (ok kernel_parity);
   let oc = open_out "BENCH_sat.json" in
   let out fmt = Printf.fprintf oc fmt in
   out "{\n";
@@ -1122,17 +1173,25 @@ let satpar_bench ~quick () =
         (if i = List.length census - 1 then "" else ","))
     census;
   out "  ],\n";
+  out
+    "  \"kernel_census\": {\"workload\": \"planted_kernel_n%d\", \"clauses\": \
+     %d, \"components\": %d, \"fixpoints\": %d, \"split_ns\": %.0f, \
+     \"flat_ns\": %.0f, \"exact_ns\": %.0f, \"parity\": %b},\n"
+    kernel_n (List.length kernel_clauses) (List.length kernel_comps)
+    kernel_flat (t_split *. 1e9) (t_kflat *. 1e9) (t_kexact *. 1e9)
+    kernel_parity;
   out "  \"speedups\": {\n";
   out "    \"portfolio_vs_sequential_band\": %.3f,\n" sat_speedup;
   out "    \"component_census_vs_flat\": %.3f\n" census_speedup;
   out "  },\n";
   out "  \"checks\": {\n";
   out "    \"sat_answers_match\": %b,\n" sat_parity;
-  out "    \"census_counts_match\": %b\n" census_parity;
+  out "    \"census_counts_match\": %b,\n" census_parity;
+  out "    \"kernel_census_matches\": %b\n" kernel_parity;
   out "  }\n";
   out "}\n";
   close_out oc;
-  if not (sat_parity && census_parity) then begin
+  if not (sat_parity && census_parity && kernel_parity) then begin
     Format.printf "  answer divergence detected — failing@.";
     exit 1
   end
@@ -1180,7 +1239,72 @@ let plan_bench ~quick () =
      BENCH_plan.json@."
     (if quick then ", quick mode" else "");
   let planners = [ `Static; `Scan; `Adaptive ] in
-  let best_reps = if quick then 2 else 4 in
+  (* Every (workload, planner) cell is the median of [samples] samples taken
+     interleaved: sample k of each planner runs before sample k + 1 of any,
+     with the starting planner rotated, so host-load drift hits all three
+     alike.  A sample repeats the operation until it lasts [min_sample_s]
+     (the batch is calibrated per cell), so microsecond operations are not
+     timed one by one. *)
+  let samples = if quick then 9 else 11 in
+  let min_sample_s = 0.02 in
+  let sample planner batch op =
+    with_planner planner (fun () ->
+        let r, t =
+          wall (fun () ->
+              let r = ref (op ()) in
+              for _ = 2 to batch do
+                r := op ()
+              done;
+              !r)
+        in
+        (r, t /. float_of_int batch))
+  in
+  (* Doubling the batch until a sample is long enough also warms the
+     planner's plan cache and the relations' memoized indexes. *)
+  let rec calibrate planner op batch =
+    let _, per_op = sample planner batch op in
+    if per_op *. float_of_int batch >= min_sample_s then batch
+    else calibrate planner op (2 * batch)
+  in
+  let median xs =
+    let a = Array.of_list xs in
+    Array.sort compare a;
+    a.(Array.length a / 2)
+  in
+  (* [make ()] builds one planner's operation, with any state it keeps
+     across calls; the operation returns the tuple count of its result.
+     Returns the matrix rows and, per round, each planner's sample. *)
+  let time_workload (wname, make) =
+    let cells =
+      Array.of_list
+        (List.map
+           (fun p ->
+             let op = make () in
+             (p, op, calibrate p op 1))
+           planners)
+    in
+    let n = Array.length cells in
+    let rounds = Array.make_matrix samples n (0, 0.) in
+    for k = 0 to samples - 1 do
+      for j = 0 to n - 1 do
+        let i = (j + k) mod n in
+        let p, op, batch = cells.(i) in
+        rounds.(k).(i) <- sample p batch op
+      done
+    done;
+    let rows =
+      List.mapi
+        (fun i (p, _, batch) ->
+          let runs = Array.map (fun round -> round.(i)) rounds in
+          ( wname, p, fst runs.(0),
+            median (Array.to_list (Array.map snd runs)), batch ))
+        (Array.to_list cells)
+    in
+    let per_round round =
+      List.combine planners (Array.to_list (Array.map snd round))
+    in
+    (rows, (wname, Array.map per_round rounds))
+  in
   (* Workload 1 — the Theta-application loop itself, on E1's pi_1: the
      operator every semantics in the paper iterates, applied over and over
      at its inflationary valuation on C_8 with a shared plan cache.  This
@@ -1196,19 +1320,9 @@ let plan_bench ~quick () =
     | Some fp -> fp
     | None -> Inflationary.eval pi1 theta_db
   in
-  let theta_iters = if quick then 20000 else 50000 in
-  let theta_cell planner =
-    with_planner planner (fun () ->
-        let cache = Plan_cache.create () in
-        ignore (Theta.apply ~cache pi1 theta_db theta_fp);
-        let run () =
-          for _ = 2 to theta_iters do
-            ignore (Theta.apply ~cache pi1 theta_db theta_fp)
-          done;
-          Theta.apply ~cache pi1 theta_db theta_fp
-        in
-        let r, t = best_of best_reps run in
-        (Idb.total_cardinal r, t /. float_of_int theta_iters))
+  let theta_op () =
+    let cache = Plan_cache.create () in
+    fun () -> Idb.total_cardinal (Theta.apply ~cache pi1 theta_db theta_fp)
   in
   (* Workload 2 — application-heavy TC (the E7 family): k vertex-disjoint
      transitive closures over small cycles.  Every semi-naive stage runs
@@ -1217,7 +1331,6 @@ let plan_bench ~quick () =
      for the rest of the run. *)
   let multi_copies = if quick then 32 else 48 in
   let multi_cycle = 8 in
-  let multi_reps = if quick then 4 else 6 in
   let multi_program =
     List.init multi_copies (fun i ->
         Printf.sprintf
@@ -1233,35 +1346,17 @@ let plan_bench ~quick () =
           (Generate.cycle multi_cycle))
     |> List.fold_left Database.merge (Database.create ~universe:[])
   in
-  let tc_cell planner =
-    with_planner planner (fun () ->
-        let run () =
-          for _ = 2 to multi_reps do
-            ignore (Inflationary.eval ~engine:`Seminaive multi_program multi_db)
-          done;
-          Inflationary.eval ~engine:`Seminaive multi_program multi_db
-        in
-        let r, t = best_of best_reps run in
-        (Idb.total_cardinal r, t /. float_of_int multi_reps))
+  let tc_op () () =
+    Idb.total_cardinal
+      (Inflationary.eval ~engine:`Seminaive multi_program multi_db)
   in
   (* Workload 3 — the E8 distance program on L_n: six rules, three
      delta-specialized variants per stage, ~n stages; the multi-rule body
      mix (negation, universe enumeration) makes replanning costlier than
      on TC while the per-stage deltas stay small. *)
   let dist_n = if quick then 10 else 13 in
-  let dist_reps = if quick then 3 else 4 in
   let dist_g = Generate.path dist_n in
-  let dist_cell planner =
-    with_planner planner (fun () ->
-        let run () =
-          for _ = 2 to dist_reps do
-            ignore (Distance.inflationary dist_g)
-          done;
-          Distance.inflationary dist_g
-        in
-        let r, t = best_of best_reps run in
-        (Relation.cardinal r, t /. float_of_int dist_reps))
-  in
+  let dist_op () () = Relation.cardinal (Distance.inflationary dist_g) in
   (* Workload 4 — dense TC (join-output-dominated, the E7 dense point):
      here execution dwarfs planning, and scan (no index probes) falls off
      a cliff. *)
@@ -1269,40 +1364,31 @@ let plan_bench ~quick () =
   let dense_db =
     db_of (Generate.random ~seed:79 ~n:dense_n ~p:(4.0 /. float_of_int dense_n))
   in
-  let dense_cell planner =
-    with_planner planner (fun () ->
-        let run () = Inflationary.eval ~engine:`Seminaive tc_program dense_db in
-        let r, t = best_of best_reps run in
-        (Idb.total_cardinal r, t))
+  let dense_op () () =
+    Idb.total_cardinal
+      (Inflationary.eval ~engine:`Seminaive tc_program dense_db)
   in
   let workloads =
     [
-      ("theta_pi1_apply", theta_cell);
-      ("tc_multi_iterheavy", tc_cell);
-      ("distance_path", dist_cell);
-      ("tc_dense", dense_cell);
+      ("theta_pi1_apply", theta_op);
+      ("tc_multi_iterheavy", tc_op);
+      ("distance_path", dist_op);
+      ("tc_dense", dense_op);
     ]
   in
-  let matrix =
-    List.concat_map
-      (fun (wname, cell) ->
-        List.map
-          (fun planner ->
-            let tuples, seconds = cell planner in
-            (wname, planner, tuples, seconds))
-          planners)
-      workloads
-  in
-  Format.printf "  %-34s %10s %10s@." "workload x planner" "ms" "tuples";
+  let timed = List.map time_workload workloads in
+  let matrix = List.concat_map fst timed in
+  Format.printf "  %-34s %10s %10s %8s  (median of %d)@."
+    "workload x planner" "ms" "tuples" "batch" samples;
   List.iter
-    (fun (wname, planner, tuples, seconds) ->
-      Format.printf "  %-34s %10.2f %10d@."
+    (fun (wname, planner, tuples, seconds, batch) ->
+      Format.printf "  %-34s %10.4f %10d %8d@."
         (Printf.sprintf "%s_%s" wname (planner_name planner))
-        (seconds *. 1e3) tuples)
+        (seconds *. 1e3) tuples batch)
     matrix;
   let cell wname planner =
-    let _, _, tuples, seconds =
-      List.find (fun (w, p, _, _) -> w = wname && p = planner) matrix
+    let _, _, tuples, seconds, _ =
+      List.find (fun (w, p, _, _, _) -> w = wname && p = planner) matrix
     in
     (tuples, seconds)
   in
@@ -1319,17 +1405,25 @@ let plan_bench ~quick () =
      beats static on the many-tiny-joins TC, static beats scan 6x+ on the
      dense one), so the feedback planner must land within 10% of whichever
      static choice is best, on every workload — and strictly beat static
-     where scan wins today. *)
+     where scan wins today.  Both gates compare samples of one round,
+     taken within a fraction of a second of each other: a ratio is the
+     median over rounds of the per-round ratio, so drift in host speed
+     between rounds cancels out.  The best static choice is the one with
+     the lower median. *)
+  let paired_ratio wname p q =
+    let rounds = List.assoc wname (List.map snd timed) in
+    median
+      (Array.to_list
+         (Array.map (fun r -> List.assoc p r /. List.assoc q r) rounds))
+  in
   let adaptive_margins =
     List.map
       (fun (wname, _) ->
         let best =
-          List.fold_left
-            (fun acc p -> Float.min acc (snd (cell wname p)))
-            infinity
-            [ `Static; `Scan ]
+          if snd (cell wname `Static) <= snd (cell wname `Scan) then `Static
+          else `Scan
         in
-        (wname, snd (cell wname `Adaptive) /. best))
+        (wname, paired_ratio wname `Adaptive best))
       workloads
   in
   List.iter
@@ -1341,8 +1435,7 @@ let plan_bench ~quick () =
     List.for_all (fun (_, margin) -> margin <= 1.10) adaptive_margins
   in
   let adaptive_beats_static_tc_multi =
-    snd (cell "tc_multi_iterheavy" `Adaptive)
-    < snd (cell "tc_multi_iterheavy" `Static)
+    paired_ratio "tc_multi_iterheavy" `Adaptive `Static < 1.0
   in
   Format.printf "  adaptive within 10%% of best everywhere %s@."
     (ok adaptive_within_10pct);
@@ -1417,13 +1510,15 @@ let plan_bench ~quick () =
   out "  \"quick\": %b,\n" quick;
   out "  \"host_domains\": %d,\n" (Domain.recommended_domain_count ());
   out "  \"grain\": %S,\n" (Engine.grain_to_string (Engine.default_grain ()));
+  out "  \"samples\": %d,\n" samples;
+  out "  \"min_sample_ms\": %.0f,\n" (min_sample_s *. 1e3);
   out "  \"matrix\": [\n";
   List.iteri
-    (fun i (wname, planner, tuples, seconds) ->
+    (fun i (wname, planner, tuples, seconds, batch) ->
       out
         "    {\"workload\": %S, \"planner\": %S, \"ns_per_op\": %.0f, \
-         \"tuples\": %d}%s\n"
-        wname (planner_name planner) (seconds *. 1e9) tuples
+         \"batch\": %d, \"tuples\": %d}%s\n"
+        wname (planner_name planner) (seconds *. 1e9) batch tuples
         (if i = List.length matrix - 1 then "" else ","))
     matrix;
   out "  ],\n";

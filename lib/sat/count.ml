@@ -17,34 +17,102 @@ let assign l clauses =
 (* Exhaustive unit propagation; returns the simplified clauses and the set
    of variables that got forced. *)
 let rec propagate clauses forced =
-  match List.find_opt (fun c -> List.length c = 1) clauses with
+  match List.find_map (function [ l ] -> Some l | _ -> None) clauses with
   | None -> (clauses, forced)
-  | Some [ l ] -> propagate (assign l clauses) (ISet.add (abs l) forced)
-  | Some _ -> assert false
+  | Some l -> propagate (assign l clauses) (ISet.add (abs l) forced)
 
-let clause_vars c = ISet.of_list (List.map abs c)
+(* --- component split ----------------------------------------------------- *)
 
-(* Partition clauses into connected components of the variable-sharing
-   graph; returns (clauses, vars) per component. *)
+(* A component's clauses as a join tree: the clause that formed it, then the
+   components that clause joined, newest first.  Flattened once, in
+   pre-order, it is the clause list of the component. *)
+type rope = Join of int list * rope list
+
+let flatten rope =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | Join (clause, joined) :: rest -> go (clause :: acc) (joined @ rest)
+  in
+  go [] [ rope ]
+
+(* Per-domain scratch: [owner.(v)] is the index of the newest clause seen to
+   mention variable [v], valid only while [stamp.(v)] equals the current
+   call's [epoch].  Bumping the epoch invalidates every entry at once, so a
+   call on a handful of clauses (the DPLL counter splits at every node)
+   touches only its own variables' entries, never the whole array. *)
+type scratch = {
+  mutable owner : int array;
+  mutable stamp : int array;
+  mutable epoch : int;
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () -> { owner = [||]; stamp = [||]; epoch = 0 })
+
+let reserve s v =
+  let len = Array.length s.owner in
+  if v >= len then begin
+    let len' = max (v + 1) (2 * len) in
+    let grow a = Array.append a (Array.make (len' - len) 0) in
+    s.owner <- grow s.owner;
+    s.stamp <- grow s.stamp
+  end
+
+(* Union-find over clause indices.  A set's root is always its newest
+   clause: a clause becomes the parent of every root it touches, so roots
+   order components by their latest clause and the set of roots a clause
+   meets, sorted descending, is the join order. *)
 let components clauses =
-  let groups : (int list list * ISet.t) list ref = ref [] in
+  let clauses = Array.of_list clauses in
+  let n = Array.length clauses in
+  let s = Domain.DLS.get scratch_key in
+  s.epoch <- s.epoch + 1;
+  let epoch = s.epoch in
+  let parent = Array.init n Fun.id in
+  let ropes = Array.make n (Join ([], [])) in
+  (* Path halving. *)
+  let rec find i =
+    let p = parent.(i) in
+    if p = i then i
+    else begin
+      let g = parent.(p) in
+      parent.(i) <- g;
+      if g = p then p else find g
+    end
+  in
+  let seen = ref [] in
+  for i = 0 to n - 1 do
+    let met = ref [] in
+    List.iter
+      (fun l ->
+        let v = abs l in
+        reserve s v;
+        if s.stamp.(v) = epoch then begin
+          let r = find s.owner.(v) in
+          if r <> i then met := r :: !met
+        end
+        else begin
+          s.stamp.(v) <- epoch;
+          seen := v :: !seen
+        end;
+        s.owner.(v) <- i)
+      clauses.(i);
+    let met = List.sort_uniq (fun a b -> compare b a) !met in
+    List.iter (fun r -> parent.(r) <- i) met;
+    ropes.(i) <- Join (clauses.(i), List.map (fun r -> ropes.(r)) met)
+  done;
+  let vars = Array.make n [] in
   List.iter
-    (fun clause ->
-      let cv = clause_vars clause in
-      let touching, rest =
-        List.partition
-          (fun (_, vars) -> not (ISet.is_empty (ISet.inter cv vars)))
-          !groups
-      in
-      let merged_clauses =
-        clause :: List.concat_map fst touching
-      in
-      let merged_vars =
-        List.fold_left (fun acc (_, vs) -> ISet.union acc vs) cv touching
-      in
-      groups := (merged_clauses, merged_vars) :: rest)
-    clauses;
-  !groups
+    (fun v ->
+      let r = find s.owner.(v) in
+      vars.(r) <- v :: vars.(r))
+    !seen;
+  let comps = ref [] in
+  for i = 0 to n - 1 do
+    if parent.(i) = i then
+      comps := (flatten ropes.(i), ISet.of_list vars.(i)) :: !comps
+  done;
+  !comps
 
 let pow2 n =
   if n < 0 then invalid_arg "Count.pow2" else 1 lsl n

@@ -29,7 +29,21 @@ val assign : int -> int list list -> int list list
 
 val components : int list list -> (int list list * ISet.t) list
 (** Partition clauses into connected components of the variable-sharing
-    graph; each component comes with the set of variables it constrains. *)
+    graph; each component comes with the set of variables it constrains.
+
+    The output order is part of the contract (callers' enumeration order
+    depends on it).  Components come newest first: ordered by the latest
+    input clause they contain, descending.  Within a component, the clause
+    that last joined it comes first, followed by the clauses of the
+    components it joined, in that same newest-first order, recursively.
+    An empty clause is a component of its own with no variables.
+
+    Union-find over clause indices with path halving: O(L log n) for [L]
+    literals in [n] clauses, plus O(k log k) per clause of [k] literals to
+    order the components it joins.  Per-variable scratch lives in one
+    array per domain, grown to the largest variable id seen and never
+    cleared: an epoch stamp invalidates it, so a call costs nothing per
+    variable it does not mention. *)
 
 type partial = {
   value : int;

@@ -8,10 +8,10 @@ let pp ppf cnf =
 
 let to_string cnf = Format.asprintf "%a" pp cnf
 
-(* Every consumer allocates and works per declared variable (solver
-   state, the SAT-to-fixpoint database; the solver's branching scan is
-   linear in the variable count per decision), so the header's count is
-   bounded before anything is sized from it. *)
+(* Every consumer allocates per declared variable before reading a clause
+   (the solver's per-variable arrays, one universe element per variable in
+   the SAT-to-fixpoint database), so the header's count is bounded before
+   anything is sized from it. *)
 let max_vars = 1 lsl 16
 
 let parse text =

@@ -35,10 +35,19 @@ type state = {
   reason : int array;  (* clause id, or -1 for decisions and top-level units *)
   trail : int array;
   mutable trail_size : int;
-  mutable trail_lim : int list;  (* trail sizes at decision points, newest first *)
+  (* trail_lim.(d) is the trail size when decision level d + 1 opened. *)
+  mutable trail_lim : int array;
+  mutable decision_level : int;
   mutable qhead : int;
   activity : float array;
   mutable var_inc : float;
+  (* Branching order: a binary heap of variables, highest activity first
+     and ties to the lower variable.  MiniSat-style lazy removal: assigned
+     variables may linger and are skipped when popped, but every unassigned
+     variable is in the heap.  heap_pos.(v) is v's slot, or -1. *)
+  heap : int array;
+  mutable heap_size : int;
+  heap_pos : int array;
   phase : bool array;
   seen : bool array;
   mutable conflicts : int;
@@ -70,10 +79,15 @@ let create_state nvars =
     reason = Array.make (nvars + 1) (-1);
     trail = Array.make (nvars + 1) 0;
     trail_size = 0;
-    trail_lim = [];
+    trail_lim = Array.make (nvars + 1) 0;
+    decision_level = 0;
     qhead = 0;
     activity = Array.make (nvars + 1) 0.0;
     var_inc = 1.0;
+    (* All activities start equal, so ascending variables form a heap. *)
+    heap = Array.init nvars (fun i -> i + 1);
+    heap_size = nvars;
+    heap_pos = Array.init (nvars + 1) (fun v -> v - 1);
     phase = Array.make (nvars + 1) false;
     seen = Array.make (nvars + 1) false;
     conflicts = 0;
@@ -86,12 +100,17 @@ let value st lit =
   let v = st.assign.(var_of_lit lit) in
   if v = 0 then 0 else if lit land 1 = 0 then v else -v
 
-let decision_level st = List.length st.trail_lim
+let new_decision_level st =
+  let d = st.decision_level in
+  if d = Array.length st.trail_lim then
+    st.trail_lim <- Array.append st.trail_lim (Array.make (d + 1) 0);
+  st.trail_lim.(d) <- st.trail_size;
+  st.decision_level <- d + 1
 
 let enqueue st lit reason =
   let v = var_of_lit lit in
   st.assign.(v) <- (if lit land 1 = 0 then 1 else -1);
-  st.level.(v) <- decision_level st;
+  st.level.(v) <- st.decision_level;
   st.reason.(v) <- reason;
   st.phase.(v) <- lit land 1 = 0;
   st.trail.(st.trail_size) <- lit;
@@ -184,21 +203,102 @@ let propagate st =
   done;
   !conflict
 
+(* --- branching heap ------------------------------------------------------ *)
+
+(* The order a linear scan from variable 1 for the highest activity picks
+   in. *)
+let before st u v =
+  let au = st.activity.(u) and av = st.activity.(v) in
+  au > av || (au = av && u < v)
+
+let heap_set st i v =
+  st.heap.(i) <- v;
+  st.heap_pos.(v) <- i
+
+(* Move the hole at slot [i] up until [v] fits there. *)
+let rec sift_up st i v =
+  let p = (i - 1) / 2 in
+  if i > 0 && before st v st.heap.(p) then begin
+    heap_set st i st.heap.(p);
+    sift_up st p v
+  end
+  else heap_set st i v
+
+(* Move the hole at slot [i] down until [v] fits there. *)
+let rec sift_down st i v =
+  let l = (2 * i) + 1 in
+  if l >= st.heap_size then heap_set st i v
+  else begin
+    let r = l + 1 in
+    let c =
+      if r < st.heap_size && before st st.heap.(r) st.heap.(l) then r else l
+    in
+    let w = st.heap.(c) in
+    if before st w v then begin
+      heap_set st i w;
+      sift_down st c v
+    end
+    else heap_set st i v
+  end
+
+let heap_insert st v =
+  if st.heap_pos.(v) < 0 then begin
+    st.heap_size <- st.heap_size + 1;
+    sift_up st (st.heap_size - 1) v
+  end
+
+(* Add [v] at the end, out of order; a [heap_rebuild] must follow. *)
+let heap_append st v =
+  if st.heap_pos.(v) < 0 then begin
+    heap_set st st.heap_size v;
+    st.heap_size <- st.heap_size + 1
+  end
+
+let heap_pop st =
+  let top = st.heap.(0) in
+  st.heap_pos.(top) <- -1;
+  st.heap_size <- st.heap_size - 1;
+  if st.heap_size > 0 then sift_down st 0 st.heap.(st.heap_size);
+  top
+
+(* Restore the heap order after activities changed wholesale. *)
+let heap_rebuild st =
+  for i = (st.heap_size / 2) - 1 downto 0 do
+    sift_down st i st.heap.(i)
+  done
+
+let heap_drop_assigned st =
+  let n = ref 0 in
+  for i = 0 to st.heap_size - 1 do
+    let v = st.heap.(i) in
+    if st.assign.(v) = 0 then begin
+      heap_set st !n v;
+      incr n
+    end
+    else st.heap_pos.(v) <- -1
+  done;
+  st.heap_size <- !n;
+  heap_rebuild st
+
 let bump st v =
   st.activity.(v) <- st.activity.(v) +. st.var_inc;
   if st.activity.(v) > 1e100 then begin
     for u = 1 to st.nvars do
       st.activity.(u) <- st.activity.(u) *. 1e-100
     done;
-    st.var_inc <- st.var_inc *. 1e-100
+    st.var_inc <- st.var_inc *. 1e-100;
+    (* Scaling can round distinct activities to equal ones, whose order is
+       then decided by the variable instead. *)
+    heap_rebuild st
   end
+  else if st.heap_pos.(v) >= 0 then sift_up st st.heap_pos.(v) v
 
 let decay st = st.var_inc <- st.var_inc /. 0.95
 
 (* First-UIP conflict analysis.  Returns the learned clause with the
    asserting literal first, and the backjump level. *)
 let analyze st conflict_id =
-  let current = decision_level st in
+  let current = st.decision_level in
   let learned = ref [] in
   let counter = ref 0 in
   let p = ref (-1) in
@@ -239,37 +339,42 @@ let analyze st conflict_id =
   (learned_clause, backjump)
 
 let cancel_until st target =
-  let level = decision_level st in
-  if level > target then begin
-    let sizes = Array.of_list (List.rev st.trail_lim) in
-    let keep_size = sizes.(target) in
+  if st.decision_level > target then begin
+    let keep_size = st.trail_lim.(target) in
+    (* Putting back more variables than the heap holds (a restart, or the
+       next call of a session whose last model assigned everything):
+       append them and heapify once, O(n), instead of sifting each up. *)
+    let bulk = st.trail_size - keep_size > st.heap_size in
     for i = st.trail_size - 1 downto keep_size do
       let v = var_of_lit st.trail.(i) in
       st.assign.(v) <- 0;
-      st.reason.(v) <- -1
+      st.reason.(v) <- -1;
+      if bulk then heap_append st v else heap_insert st v
     done;
+    if bulk then heap_rebuild st;
     st.trail_size <- keep_size;
     st.qhead <- keep_size;
-    let rec drop n l =
-      if n = 0 then l
-      else
-        match l with
-        | [] -> []
-        | _ :: t -> drop (n - 1) t
-    in
-    st.trail_lim <- drop (level - target) st.trail_lim
+    st.decision_level <- target
   end
 
-let pick_branch_var st =
-  let best = ref 0 in
-  let best_act = ref neg_infinity in
-  for v = 1 to st.nvars do
-    if st.assign.(v) = 0 && st.activity.(v) > !best_act then begin
-      best := v;
-      best_act := st.activity.(v)
-    end
-  done;
-  !best
+(* The unassigned variable of highest activity, ties to the lowest; 0 when
+   every variable is assigned.  The heap holds every unassigned variable, so
+   [heap_size - (nvars - trail_size)] of its entries are assigned; when
+   those are the majority (propagation assigned most variables since the
+   last pick), one O(n) sweep drops them instead of one O(log n) pop
+   each. *)
+let rec pick_branch_var st =
+  if st.heap_size = 0 then 0
+  else if
+    st.assign.(st.heap.(0)) <> 0
+    && 2 * (st.heap_size - (st.nvars - st.trail_size)) > st.heap_size
+  then begin
+    heap_drop_assigned st;
+    pick_branch_var st
+  end
+  else
+    let v = heap_pop st in
+    if st.assign.(v) = 0 then v else pick_branch_var st
 
 (* The Luby restart sequence: 1 1 2 1 1 2 4 1 1 2 1 1 2 4 8 ... *)
 let rec luby i =
@@ -324,7 +429,7 @@ let solve_state ?(assumptions = [||]) ?(conflict_limit = max_int)
         if conflict >= 0 then begin
           st.conflicts <- st.conflicts + 1;
           incr conflicts_here;
-          if decision_level st = 0 then raise Found_unsat;
+          if st.decision_level = 0 then raise Found_unsat;
           let learned, backjump = analyze st conflict in
           cancel_until st backjump;
           let c = Array.of_list learned in
@@ -352,19 +457,19 @@ let solve_state ?(assumptions = [||]) ?(conflict_limit = max_int)
           restart := true
         end
         else begin
-          let dl = decision_level st in
+          let dl = st.decision_level in
           if dl < Array.length assumptions then begin
             (* Assume the next assumption literal as a decision. *)
             let lit = assumptions.(dl) in
             match value st lit with
             | 1 ->
               (* Already true: open an empty level so indices advance. *)
-              st.trail_lim <- st.trail_size :: st.trail_lim
+              new_decision_level st
             | -1 ->
               (* Incompatible with the formula (plus earlier assumptions). *)
               result := Some V_unsat
             | _ ->
-              st.trail_lim <- st.trail_size :: st.trail_lim;
+              new_decision_level st;
               enqueue st lit (-1)
           end
           else begin
@@ -377,7 +482,7 @@ let solve_state ?(assumptions = [||]) ?(conflict_limit = max_int)
               result := Some (V_sat model)
             end
             else begin
-              st.trail_lim <- st.trail_size :: st.trail_lim;
+              new_decision_level st;
               let lit = if st.phase.(v) then 2 * v else (2 * v) + 1 in
               enqueue st lit (-1)
             end
@@ -442,10 +547,12 @@ let apply_profile (st : state) (p : profile) =
     for v = 1 to st.nvars do
       st.phase.(v) <- Prng.bool rng
     done);
-  if p.activity_noise then
+  if p.activity_noise then begin
     for v = 1 to st.nvars do
       st.activity.(v) <- Prng.float rng *. 0.5
-    done
+    done;
+    heap_rebuild st
+  end
 
 (* --- top-level solving ---------------------------------------------------- *)
 

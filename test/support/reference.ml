@@ -158,3 +158,25 @@ let stratified p db =
           (saturate (fun s -> consequences rules universe ~pos:s ~neg:s) s)
     in
     Some (idb_only p (go 0 edb))
+
+(* --- CNF component split ------------------------------------------------- *)
+
+module Vars = Set.Make (Int)
+
+(* Quadratic on purpose: each clause re-partitions every group found so far
+   by set intersection and re-concatenates the clause lists it merges. *)
+let components clauses =
+  List.fold_left
+    (fun groups clause ->
+      let cv = Vars.of_list (List.map abs clause) in
+      let touching, rest =
+        List.partition
+          (fun (_, vars) -> not (Vars.is_empty (Vars.inter cv vars)))
+          groups
+      in
+      let merged_clauses = clause :: List.concat_map fst touching in
+      let merged_vars =
+        List.fold_left (fun acc (_, vs) -> Vars.union acc vs) cv touching
+      in
+      (merged_clauses, merged_vars) :: rest)
+    [] clauses

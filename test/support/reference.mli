@@ -8,7 +8,10 @@
     input database is read once, into plain strings; nothing in [Plan],
     [Store], [Engine], [Saturate], [Idb] or the {!Relalg.Relation} algebra
     is called.  Only [Pos], [Neg], [Eq] and [Neq] literals are supported —
-    the program space {!Gen_programs.arb_case} draws from. *)
+    the program space {!Gen_programs.arb_case} draws from.
+
+    It also keeps the list-based CNF component split, the oracle for
+    [Satlib.Count.components]. *)
 
 module Atoms : Set.S with type elt = string * string list
 
@@ -33,3 +36,13 @@ val well_founded :
 
 val atoms_of_bindings : (string * Relalg.Relation.t) list -> Atoms.t
 (** The ground atoms of an evaluator's result, for comparison. *)
+
+module Vars : Set.S with type elt = int
+
+val components : int list list -> (int list list * Vars.t) list
+(** The connected components of the clauses' variable-sharing graph, each
+    with the variables it mentions.  Components come newest first (by the
+    latest clause they contain); within one, the clause that formed it
+    comes first, then the clauses of the components it joined, in that same
+    order.  An empty clause is a component of its own with no
+    variables. *)

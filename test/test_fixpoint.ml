@@ -120,6 +120,46 @@ let test_exact_census_scales_to_big_gn () =
   | Satlib.Outcome.Exact n -> check int "2^10" 1024 n
   | Satlib.Outcome.Lower_bound _ -> Alcotest.fail "components keep this cheap"
 
+let test_census_order_pinned () =
+  (* 3 x C_4: the first model and the enumeration order of the encoding, and
+     the order of the component-wise census, as the linear-scan branching
+     produced them; the solver's heap must break ties the same way. *)
+  let g = Generate.disjoint_copies 3 (Generate.cycle 4) in
+  let enc = Encode.build (ground_of pi1 g) in
+  let cnf = Encode.cnf enc in
+  let bits m =
+    String.init (Satlib.Cnf.num_vars cnf) (fun i ->
+        if m.(i + 1) then '1' else '0')
+  in
+  (match Satlib.Solver.solve ~mode:`Sequential cnf with
+  | Satlib.Solver.Sat m ->
+    check Alcotest.string "first model" "010101010101010101010101" (bits m)
+  | Satlib.Solver.Unsat -> Alcotest.fail "3 x C_4 has fixpoints");
+  check
+    Alcotest.(list string)
+    "enumeration order"
+    [
+      "010101010101010101010101"; "010101011010010101011010";
+      "010110101010010110101010"; "010110100101010110100101";
+      "101010100101101010100101"; "101010101010101010101010";
+      "101001011010101001011010"; "101001010101101001010101";
+    ]
+    (List.map bits (Satlib.Enumerate.models cnf));
+  check
+    Alcotest.(list string)
+    "census order"
+    [
+      "t = {(v1); (v3); (v5); (v7); (v9); (v11)}";
+      "t = {(v0); (v2); (v5); (v7); (v9); (v11)}";
+      "t = {(v1); (v3); (v4); (v6); (v9); (v11)}";
+      "t = {(v0); (v2); (v4); (v6); (v9); (v11)}";
+      "t = {(v1); (v3); (v5); (v7); (v8); (v10)}";
+      "t = {(v0); (v2); (v5); (v7); (v8); (v10)}";
+      "t = {(v1); (v3); (v4); (v6); (v8); (v10)}";
+      "t = {(v0); (v2); (v4); (v6); (v8); (v10)}";
+    ]
+    (List.map (Format.asprintf "%a" Idb.pp) (Solve.enumerate (solve_of g)))
+
 (* --- Brute force vs SAT -------------------------------------------------- *)
 
 let test_sat_agrees_with_brute_on_census () =
@@ -376,6 +416,8 @@ let () =
             test_exact_census_matches_enumeration;
           Alcotest.test_case "exact census scales" `Quick
             test_exact_census_scales_to_big_gn;
+          Alcotest.test_case "census order pinned" `Quick
+            test_census_order_pinned;
         ] );
       ( "sat-vs-brute",
         [

@@ -269,6 +269,43 @@ let test_count_budget () =
   | Outcome.Exact n -> check bool "real budget counts" true (n >= 0)
   | Outcome.Lower_bound _ -> Alcotest.fail "expected a count"
 
+(* --- Branching order ------------------------------------------------------ *)
+
+(* The solver branches on the unassigned variable of highest activity, ties
+   to the lowest.  These first models and enumeration orders were recorded
+   from the linear-scan picker the heap replaced; any change to the
+   tie-breaking moves them. *)
+let bits n m = String.init n (fun i -> if m.(i + 1) then '1' else '0')
+
+let first_model cnf =
+  match Solver.solve ~mode:`Sequential cnf with
+  | Solver.Sat m -> bits (Cnf.num_vars cnf) m
+  | Solver.Unsat -> "unsat"
+
+let test_branching_order_small () =
+  let cnf = Workload.random_3cnf ~seed:7 ~vars:10 ~clauses:40 in
+  check Alcotest.string "first model" "0000101010" (first_model cnf);
+  check
+    Alcotest.(list string)
+    "enumeration order"
+    [
+      "0000101010"; "0000101000"; "0010101010"; "1010101010"; "1100101000";
+      "1100101010"; "1100111001"; "1110111001"; "1100111101"; "1100110101";
+      "0000110100"; "0001101000";
+    ]
+    (List.map (bits 10) (Enumerate.models cnf))
+
+let test_branching_order_large () =
+  (* 1622 models: the blocking clauses drive thousands of conflicts. *)
+  let cnf = Workload.random_3cnf ~seed:104 ~vars:40 ~clauses:168 in
+  check Alcotest.string "first model" "0001101001110111000000010110111010011000"
+    (first_model cnf);
+  let models = List.map (bits 40) (Enumerate.models cnf) in
+  check int "model count" 1622 (List.length models);
+  check Alcotest.string "enumeration order digest"
+    "ba9c967121e31d21a09d0d8f654ba387"
+    (Digest.to_hex (Digest.string (String.concat "," models)))
+
 (* --- Incremental sessions ------------------------------------------------ *)
 
 let test_session_basic () =
@@ -527,6 +564,73 @@ let prop_count_budget_sound =
       | Outcome.Lower_bound (n, Outcome.Node_budget) -> 0 <= n && n <= brute
       | Outcome.Lower_bound _ -> false)
 
+(* Clause lists for the component split: either clauses over a small
+   shared pool of variables (long merge chains, repeated variables, empty
+   clauses), or many disjoint blocks whose clauses arrive interleaved.
+   Variable ids are sometimes spread out by a large stride, so the split's
+   per-variable scratch has to grow. *)
+let split_clauses_gen =
+  QCheck.Gen.(
+    let lit_of stride v sign = if sign then v * stride else -(v * stride) in
+    let shared =
+      let* vars = int_range 1 12 in
+      let* n = int_range 0 30 in
+      list_size (return n)
+        (let* len = frequency [ (1, return 0); (8, int_range 1 4) ] in
+         list_size (return len) (pair (int_range 1 vars) bool))
+    in
+    let blocks =
+      let* nblocks = int_range 2 20 in
+      let* width = int_range 1 4 in
+      let* n = int_range 0 50 in
+      list_size (return n)
+        (let* b = int_range 0 (nblocks - 1) in
+         let* len = int_range 1 3 in
+         list_size (return len)
+           (let* i = int_range 1 width in
+            let* sign = bool in
+            return ((b * width) + i, sign)))
+    in
+    let* clauses = oneof [ shared; blocks ] in
+    let* stride = oneofl [ 1; 1; 997 ] in
+    return
+      (List.map (List.map (fun (v, sign) -> lit_of stride v sign)) clauses))
+
+let arbitrary_split_clauses =
+  QCheck.make split_clauses_gen ~print:(fun cs ->
+      String.concat " "
+        (List.map
+           (fun c -> "[" ^ String.concat "," (List.map string_of_int c) ^ "]")
+           cs))
+
+let prop_components_match_reference =
+  QCheck.Test.make ~name:"component split = list-based reference, exactly"
+    ~count:1000 arbitrary_split_clauses (fun cs ->
+      let got = Count.components cs in
+      let want = Testsupport.Reference.components cs in
+      List.length got = List.length want
+      && List.for_all2
+           (fun (gc, gv) (wc, wv) ->
+             gc = wc
+             && Count.ISet.elements gv = Testsupport.Reference.Vars.elements wv)
+           got want)
+
+let prop_components_partition =
+  QCheck.Test.make ~name:"components partition the clauses, vars disjoint"
+    ~count:1000 arbitrary_split_clauses (fun cs ->
+      let comps = Count.components cs in
+      let vars_of clauses =
+        Count.ISet.of_list (List.concat_map (List.map abs) clauses)
+      in
+      List.sort compare (List.concat_map fst comps) = List.sort compare cs
+      && List.for_all (fun (c, vs) -> Count.ISet.equal vs (vars_of c)) comps
+      && snd
+           (List.fold_left
+              (fun (seen, ok) (_, vs) ->
+                ( Count.ISet.union seen vs,
+                  ok && Count.ISet.disjoint seen vs ))
+              (Count.ISet.empty, true) comps))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -539,6 +643,8 @@ let qcheck_tests =
       prop_portfolio2_vs_brute;
       prop_portfolio4_vs_brute;
       prop_count_budget_sound;
+      prop_components_match_reference;
+      prop_components_partition;
     ]
 
 let () =
@@ -588,6 +694,13 @@ let () =
           Alcotest.test_case "budget" `Quick test_count_budget;
           Alcotest.test_case "budget boundary" `Quick
             test_count_budget_boundary;
+        ] );
+      ( "branching",
+        [
+          Alcotest.test_case "random 3-CNF, 10 vars" `Quick
+            test_branching_order_small;
+          Alcotest.test_case "random 3-CNF, 40 vars" `Quick
+            test_branching_order_large;
         ] );
       ( "session",
         [
